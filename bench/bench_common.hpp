@@ -1,12 +1,14 @@
 // Shared glue for the experiment-table binaries.
 #pragma once
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_support/runner.hpp"
@@ -22,7 +24,8 @@ namespace topkmon::bench {
 /// --telemetry[=<path>] (attach the per-phase step profiler to every cell
 /// and write the telemetry JSON document — src/telemetry — at exit; the
 /// scoped timers run ONLY with this flag, keeping default bench runs
-/// perf-identical to a telemetry-less build).
+/// perf-identical to a telemetry-less build). Any other flag is a typo: the
+/// bench prints it and exits 2 instead of silently running the defaults.
 struct BenchArgs {
   std::size_t trials = 5;
   TimeStep steps = 600;
@@ -34,6 +37,17 @@ struct BenchArgs {
 
   static BenchArgs parse(int argc, char** argv) {
     Flags flags(argc, argv);
+    static constexpr std::string_view kKnown[] = {"trials", "steps",   "seed",
+                                                  "csv",    "json",    "threads",
+                                                  "telemetry"};
+    for (const std::string& given : flags.names()) {
+      if (std::find(std::begin(kKnown), std::end(kKnown), given) == std::end(kKnown)) {
+        std::cerr << flags.program() << ": unknown flag --" << given
+                  << " (known: --trials --steps --seed --csv --json --threads "
+                     "--telemetry)\n";
+        std::exit(2);
+      }
+    }
     BenchArgs a;
     a.trials = flags.get_uint("trials", a.trials);
     a.steps = static_cast<TimeStep>(flags.get_uint("steps", a.steps));

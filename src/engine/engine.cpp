@@ -14,18 +14,9 @@ namespace topkmon {
 MonitoringEngine::MonitoringEngine(EngineConfig cfg,
                                    std::unique_ptr<StreamGenerator> gen)
     : cfg_(cfg),
-      gen_(std::move(gen)),
-      // Same derivation as Simulator's generator stream, so a Q = 1 engine
-      // seeded like a Simulator replays the identical stream.
-      gen_rng_(Rng::derive(cfg.seed, /*stream_id=*/0x5EED)),
-      fleet_(gen_ && gen_->n() > 0 ? gen_->n() : 1) {
-  TOPKMON_ASSERT(gen_ != nullptr);
-  TOPKMON_ASSERT(gen_->n() > 0);
-  if (cfg_.faults) {
-    TOPKMON_ASSERT_MSG(cfg_.faults->n() == gen_->n(),
-                       "fault schedule sized for wrong fleet");
-    injector_ = std::make_unique<FaultInjector>(cfg_.faults);
-  }
+      // Seeded like a Simulator's pipeline, so a Q = 1 engine replays the
+      // identical stream. Windows are per query: StepSnapshot views.
+      pipeline_(std::move(gen), cfg.seed, cfg.faults, kInfiniteWindow) {
   probe_for(kInfiniteWindow);  // always present, pre-window seeding
 }
 
@@ -71,7 +62,8 @@ QueryHandle MonitoringEngine::add_query(QuerySpec spec) {
   sim_cfg.strict = spec.strict;
   sim_cfg.threshold = spec.threshold;
   sim_cfg.record_history = false;  // history is shared, kept engine-side
-  sim_cfg.window = kInfiniteWindow;  // windowing is engine-side, per distinct W
+  sim_cfg.window = spec.window;
+  sim_cfg.faults = cfg_.faults;
   auto protocol = make_protocol(spec.protocol);
   // The protocol must actually answer the question the spec asks.
   const bool kind_ok = spec.kind == QueryKind::kTopK
@@ -81,24 +73,13 @@ QueryHandle MonitoringEngine::add_query(QuerySpec spec) {
     throw std::runtime_error("protocol '" + spec.protocol + "' does not serve " +
                              std::string(to_string(spec.kind)) + " queries");
   }
-  auto sim = std::make_unique<Simulator>(sim_cfg, gen_->n(), std::move(protocol));
-  step_snapshot_.add_window(spec.window, gen_->n());
+  // Driven through step_on() by its shard: the engine's pipeline and the
+  // snapshot's per-window views do the node side once for all queries.
+  auto sim = std::make_unique<Simulator>(sim_cfg, n(), std::move(protocol));
+  step_snapshot_.add_window(spec.window, n());
   if (cfg_.share_probes) {
     sim->context().set_probe_sharer(&probe_for(spec.window));
   }
-  // σ(t) is a pure function of the query's view of the shared snapshot;
-  // memoize it per step per distinct (W, k, ε) instead of per query.
-  sim->set_sigma_hook([this, window = spec.window](std::size_t k, double epsilon) {
-    return step_snapshot_.sigma(window, k, epsilon);
-  });
-  if (cfg_.faults) {
-    // Loss accounting + membership recovery per query; value injection stays
-    // engine-side (the shared snapshot is transformed once per step).
-    sim->attach_fault_channel(cfg_.faults);
-  }
-  // Expiry dispatch + metric come from the shared per-window model; the
-  // value transform itself stays engine-side (see step()).
-  sim->attach_window_channel(step_snapshot_.model(spec.window));
   pending_.push_back(std::move(sim));
   specs_.push_back(std::move(spec));
   return handle;
@@ -112,11 +93,7 @@ void MonitoringEngine::ensure_started() {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  std::size_t shard_count = cfg_.shard_count;
-  if (shard_count == 0) {
-    shard_count = std::min(specs_.size(), threads);
-  }
-  shard_count = std::max<std::size_t>(1, std::min(shard_count, specs_.size()));
+  const std::size_t shard_count = std::min(specs_.size(), threads);
 
   shards_.resize(shard_count);
   locate_.resize(specs_.size());
@@ -192,7 +169,7 @@ void MonitoringEngine::publish_telemetry() {
     ranks += wp.probe->ranks_computed();
   }
   snap.messages = query_messages + probe_messages;
-  snap.stale_reads = injector_ ? injector_->total_stale() : 0;
+  snap.stale_reads = pipeline_.total_stale_reads();
   snap.window_expirations = step_snapshot_.window_expirations();
   publish_stats(reg, ids_.stats, snap);
   reg.set(ids_.step, static_cast<std::uint64_t>(next_t_));
@@ -208,36 +185,20 @@ void MonitoringEngine::publish_telemetry() {
 void MonitoringEngine::step() {
   ensure_started();
 
-  // (1) One snapshot per step, shared by all queries, written in place into
-  // the fleet's staging buffer. The adaptive-adversary view is query 0's
-  // state (see header).
-  {
-    TOPKMON_PHASE_SCOPE(profiler_, telemetry::Phase::kGenerator);
-    if (next_t_ == 0) {
-      gen_->init(fleet_.staging(), gen_rng_);
-    } else {
-      const Simulator& ref = query_sim(0);
-      const AdversaryView view{ref.context().nodes(), &ref.protocol().output(),
-                               ref.config().k, ref.config().epsilon};
-      gen_->step(next_t_, view, fleet_.staging(), gen_rng_);
-    }
-  }
+  // (1) One snapshot per step, shared by all queries: generated and
+  // fault-injected once by the pipeline. The adaptive-adversary view is
+  // query 0's state (see header).
+  const Simulator& ref = query_sim(0);
+  const AdversaryView view{ref.context().nodes(), &ref.protocol().output(),
+                           ref.config().k, ref.config().epsilon};
+  const ValueVector& eff = pipeline_.step(next_t_, view, profiler_);
 
-  // (2) Fault injection on the shared snapshot path: staging keeps the
-  // true stream (the generator evolves undisturbed); the fleet — and every
-  // query — observes the effective vector.
-  const ValueVector* eff = &fleet_.staging();
-  if (injector_) {
-    TOPKMON_PHASE_SCOPE(profiler_, telemetry::Phase::kFaultInject);
-    eff = &injector_->transform(next_t_, fleet_.staging(), fleet_);
-  }
-
-  // (3) Arm the per-step caches — the snapshot advances every windowed view
+  // (2) Arm the per-step caches — the snapshot advances every windowed view
   // exactly once, and each probe channel points at its window's vector —
   // then advance all shards.
   {
     TOPKMON_PHASE_SCOPE(profiler_, telemetry::Phase::kSnapshotBegin);
-    step_snapshot_.begin_step(next_t_, *eff);
+    step_snapshot_.begin_step(next_t_, eff);
     if (cfg_.share_probes) {
       for (WindowProbe& wp : probes_) {
         wp.probe->begin_step(&step_snapshot_.values(wp.window));
@@ -254,7 +215,7 @@ void MonitoringEngine::step() {
   }
 
   if (cfg_.record_history) {
-    history_.push_back(*eff);
+    history_.push_back(eff);
   }
   if (telemetry_ != nullptr) {
     publish_telemetry();
@@ -301,7 +262,7 @@ EngineStats MonitoringEngine::stats() const {
     s.probe_calls += wp.probe->calls();
     s.probe_ranks_computed += wp.probe->ranks_computed();
   }
-  s.stale_reads = injector_ ? injector_->total_stale() : 0;
+  s.stale_reads = pipeline_.total_stale_reads();
   s.window_expirations = step_snapshot_.window_expirations();
   s.total_messages = s.query_messages + s.shared_probe_messages;
   s.elapsed_sec = elapsed_sec_;

@@ -7,10 +7,12 @@
 // (each its own protocol instance, SimContext, filters, and output) over ONE
 // shared stream of observation vectors, in lockstep per time step:
 //
-//   1. The shared generator produces the step's value snapshot once (not
-//      once per query as with one-Simulator-per-query).
+//   1. One FleetPipeline (generator + faults) produces the step's value
+//      snapshot once (not once per query as with one-Simulator-per-query).
 //   2. Queries, partitioned into shards, advance in parallel on the thread
-//      pool; each shard owns its queries' Simulators/SimContexts.
+//      pool via Simulator::step_on; each shard owns its queries'
+//      Simulators/SimContexts, configured with the query's real k, ε, W and
+//      fault schedule but holding no node-side state of their own.
 //   3. probe_top traffic is batched through a SharedProbe: the global top-m
 //      ranking is computed and accounted once per step and reused by every
 //      query that probes (see engine/shared_probe.hpp; disable with
@@ -38,10 +40,9 @@
 #include "engine/shared_probe.hpp"
 #include "engine/snapshot.hpp"
 #include "engine/stats.hpp"
-#include "faults/injector.hpp"
 #include "faults/schedule.hpp"
+#include "model/fleet_pipeline.hpp"
 #include "sim/stats_snapshot.hpp"
-#include "model/fleet_state.hpp"
 #include "sim/stream.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/profiler.hpp"
@@ -58,14 +59,13 @@ struct EngineConfig {
   std::uint64_t seed = 1;
   bool share_probes = true;     ///< batch probe_top across queries per step
   bool record_history = false;  ///< keep snapshot history (offline OPT input)
-  std::size_t shard_count = 0;  ///< number of shards; 0 = one per worker
 
   /// Fault model (src/faults): null = reliable static fleet. The engine
   /// injects churn/straggler effects into the shared snapshot ONCE per step
-  /// (queries observe one degraded fleet, not Q independent ones), arms
-  /// lossy-link accounting on every query channel and the shared probe, and
-  /// fires each query's recovery hook on membership changes. An all-zero
-  /// schedule reproduces the fault-free engine bit-identically.
+  /// (queries observe one degraded fleet, not Q independent ones); each
+  /// query's SimConfig and the shared probes get the schedule for loss
+  /// accounting and membership recovery. An all-zero schedule reproduces
+  /// the fault-free engine bit-identically.
   FleetSchedulePtr faults;
 };
 
@@ -82,7 +82,7 @@ class MonitoringEngine {
   QueryHandle add_query(QuerySpec spec);
 
   std::size_t query_count() const { return specs_.size(); }
-  std::size_t n() const { return gen_->n(); }
+  std::size_t n() const { return pipeline_.n(); }
   TimeStep time() const { return next_t_; }
   const EngineConfig& config() const { return cfg_; }
 
@@ -150,11 +150,9 @@ class MonitoringEngine {
   SharedProbe& probe_for(std::size_t window);
 
   EngineConfig cfg_;
-  std::unique_ptr<StreamGenerator> gen_;
-  Rng gen_rng_;
+  FleetPipeline pipeline_;  ///< generator + faults; windows are snapshot views
   std::vector<WindowProbe> probes_;
   StepSnapshot step_snapshot_;
-  std::unique_ptr<FaultInjector> injector_;  ///< null = fault-free fleet
 
   std::vector<QuerySpec> specs_;                     ///< handle order
   std::vector<std::unique_ptr<Simulator>> pending_;  ///< until ensure_started
@@ -164,9 +162,6 @@ class MonitoringEngine {
   std::vector<std::pair<std::size_t, std::size_t>> locate_;
 
   std::unique_ptr<ThreadPool> pool_;  ///< null = run shards inline
-  /// SoA step state: the generator writes the true vector into staging(),
-  /// the injector rewrites it into effective() + fault flags, in place.
-  FleetState fleet_;
   std::vector<ValueVector> history_;
   TimeStep next_t_ = 0;
   double elapsed_sec_ = 0.0;

@@ -19,7 +19,7 @@ void EngineShard::set_profiler(telemetry::StepProfiler* prof) {
   }
 }
 
-void EngineShard::advance(const StepSnapshot& snapshot) {
+void EngineShard::advance(StepSnapshot& snapshot) {
   TOPKMON_PHASE_SCOPE(profiler_, telemetry::Phase::kShardAdvance);
   if (views_.size() != sims_.size()) {
     // First step: resolve each query's window to its stable view pointer.
@@ -29,7 +29,16 @@ void EngineShard::advance(const StepSnapshot& snapshot) {
     }
   }
   for (std::size_t i = 0; i < sims_.size(); ++i) {
-    sims_[i]->step_with(views_[i]->current());
+    Simulator& sim = *sims_[i];
+    StepFacts facts;
+    facts.window_expirations = views_[i]->expirations();
+    {
+      // σ(t) is a pure function of the view; the snapshot memoizes it per
+      // step per distinct (W, k, ε) instead of per query.
+      TOPKMON_PHASE_SCOPE(profiler_, telemetry::Phase::kSigma);
+      facts.sigma = snapshot.sigma(windows_[i], sim.config().k, sim.config().epsilon);
+    }
+    sim.step_on(views_[i]->current(), facts);
   }
 }
 

@@ -5,11 +5,12 @@
 // different shards run concurrently on the thread pool. Each query carries
 // the window length of its view; on the first step the shard resolves each
 // query's view to a stable StepSnapshot::View pointer, so the per-step inner
-// loop hands every simulator its view's current vector with zero lookups or
-// vector construction. Because every query carries its own derived RNG
-// streams and the only cross-shard touchpoints (SharedProbe, StepSnapshot
-// sigma cache) are schedule-independent, results do not depend on the shard
-// partition or thread count.
+// loop hands every simulator its view's current vector, window expirations
+// and shared σ(t) through Simulator::step_on without vector construction.
+// Because every query carries its own derived RNG streams and the only
+// cross-shard touchpoints (SharedProbe, StepSnapshot sigma cache) are
+// schedule-independent, results do not depend on the shard partition or
+// thread count.
 #pragma once
 
 #include <memory>
@@ -27,8 +28,8 @@ class EngineShard {
   void add(QueryHandle handle, std::size_t window, std::unique_ptr<Simulator> sim);
 
   /// Advances every owned query by one step on its window's view of the
-  /// shared snapshot.
-  void advance(const StepSnapshot& snapshot);
+  /// shared snapshot (σ comes from the snapshot's shared cache).
+  void advance(StepSnapshot& snapshot);
 
   /// Arms per-phase profiling: the shard times its whole advance under
   /// Phase::kShardAdvance and hands the (single-writer — shards never share

@@ -62,11 +62,6 @@ const StepSnapshot::View* StepSnapshot::view(std::size_t window) const {
   return &view_for(window);
 }
 
-const WindowedValueModel* StepSnapshot::model(std::size_t window) const {
-  const View& v = view_for(window);
-  return v.fleet ? v.fleet->window() : nullptr;
-}
-
 std::size_t StepSnapshot::sigma(std::size_t window, std::size_t k, double epsilon) {
   View& v = view_for(window);
   TOPKMON_ASSERT(v.order != nullptr);

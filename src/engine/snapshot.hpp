@@ -36,6 +36,12 @@ class StepSnapshot {
     /// The step's value vector as queries of this window observe it.
     const ValueVector& current() const { return *values; }
 
+    /// Nodes whose window maximum expired this step (0 unwindowed).
+    std::uint64_t expirations() const {
+      const WindowedValueModel* wm = fleet ? fleet->window() : nullptr;
+      return wm ? wm->last_expirations() : 0;
+    }
+
     std::size_t window = kInfiniteWindow;
     std::unique_ptr<FleetState> fleet;  ///< null for kInfiniteWindow
     const ValueVector* values = nullptr;
@@ -68,10 +74,6 @@ class StepSnapshot {
   /// Stable handle to a window's view — shards resolve it once and then
   /// read `view->current()` per step without the per-query window lookup.
   const View* view(std::size_t window) const;
-
-  /// The window model behind a view; null for kInfiniteWindow. Stable across
-  /// steps — per-query simulators hold it as their window channel.
-  const WindowedValueModel* model(std::size_t window) const;
 
   /// σ(t) for (k, ε) on the view of `window`; cached, thread-safe, and
   /// identical to Oracle::sigma on the same values.

@@ -1,21 +1,21 @@
 // FleetState — structure-of-arrays per-fleet state for the batched hot path.
 //
-// One step of the simulator (or one engine view) needs, per fleet: a staging
+// A FleetPipeline step (model/fleet_pipeline.hpp) needs, per fleet: a staging
 // buffer for the generator's raw vector, an effective-value buffer for the
-// fault injector's rewrite, per-node fault flags, the sliding-window maxima
-// (when windowed), and the incremental rank order that answers v_π(k,t) and
-// σ(t). FleetState owns all of them as contiguous buffers allocated once at
-// construction, so per-step work writes in place instead of constructing
-// vectors — the zero-allocation invariant of the steady-state step (see
-// util/alloc_counter.hpp) hangs off this class.
+// fault injector's rewrite, per-node fault flags, and the sliding-window
+// maxima (when windowed); a σ path needs the incremental rank order that
+// answers v_π(k,t) and σ(t). FleetState owns all of them as contiguous
+// buffers allocated once, so per-step work writes in place instead of
+// constructing vectors — the zero-allocation invariant of the steady-state
+// step (see util/alloc_counter.hpp) hangs off this class.
 //
 // Layout is SoA: values, flags, window rings, and rank arrays are separate
 // flat arrays rather than per-node structs, keeping the per-step passes
 // (diff scan, window roll, violation check) on dense cache lines.
 //
-// The rank order is created lazily: engine-driven query simulators get their
-// σ(t) from the shared snapshot's per-window FleetState and must not pay n
-// words per query for an order they never consult.
+// Buffers are created lazily: a pipeline never builds an order, and an
+// engine query Simulator, whose σ(t) comes from the shared snapshot, builds
+// nothing at all.
 #pragma once
 
 #include <cstdint>

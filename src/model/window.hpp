@@ -5,10 +5,10 @@
 // last W steps", cf. Chan–Lam–Lee–Ting): node i's monitored reading at step
 // t becomes max{ v_i^s : t−W < s ≤ t }. The WindowedValueModel realizes that
 // transform as a per-node monotonic deque — O(1) amortized per node per
-// step, O(W) worst-case memory per node — and sits on the same injection
-// seam as the fault layer (between Stream and Node), so every protocol runs
-// unmodified against windowed readings: the windowed vector is just another
-// value stream.
+// step, O(W) worst-case memory per node — and is the FleetPipeline's last
+// stage, right after fault injection (between Stream and Node), so every
+// protocol runs unmodified against windowed readings: the windowed vector is
+// just another value stream.
 //
 // Storage is structure-of-arrays: all n monotonic deques live in two flat
 // preallocated arenas (timestamps and values) plus per-node head/length

@@ -31,13 +31,11 @@ NetCoordinator::NetCoordinator(RunSpec spec, std::vector<std::unique_ptr<Link>> 
   cfg.seed = spec_.seed;
   cfg.window = spec_.window;
   cfg.threshold = spec_.threshold;
+  cfg.faults = make_fleet_schedule(spec_.faults, spec_.stream.n);
   sim_ = std::make_unique<Simulator>(cfg, spec_.stream.n,
                                      make_protocol(spec_.protocol));
-  // Fault *channel*, not injector: loss accounting + scripted membership
-  // recovery run here; value degradation runs on the node-hosts.
-  if (FleetSchedulePtr schedule = make_fleet_schedule(spec_.faults, spec_.stream.n)) {
-    sim_->attach_fault_channel(std::move(schedule));
-  }
+  // Window only: value degradation runs on the node-hosts' pipelines.
+  window_ = std::make_unique<FleetPipeline>(spec_.stream.n, nullptr, spec_.window);
   sim_->context().enable_filter_tracking();
   assembled_.assign(spec_.stream.n, 0);
 }
@@ -95,7 +93,7 @@ void NetCoordinator::step(TimeStep t) {
     }
   }
 
-  std::uint64_t stale = 0;
+  StepFacts facts;
   std::vector<std::uint8_t> buf;
   for (std::uint32_t h = 0; h < hosts; ++h) {
     if (!link_of_host_[h]->recv(buf)) {
@@ -110,19 +108,20 @@ void NetCoordinator::step(TimeStep t) {
                                " at t=" + std::to_string(t));
     }
     std::copy(m.values.begin(), m.values.end(), assembled_.begin() + lo);
-    stale += m.stale;
+    // The node-hosts' stale observations feed the same counter the standalone
+    // injector does, keeping RunResult::stale_reads bit-identical.
+    facts.stale_reads += m.stale;
   }
 
   // A link that came back from an outage during this step's exchange drives
   // the protocol's membership-recovery hook — reconnections cost a recovery
   // round exactly like scripted churn.
   for (auto& link : links_) {
-    if (link->take_reconnected()) sim_->force_recovery_next_step();
+    if (link->take_reconnected()) facts.recovery = true;
   }
-  // The node-hosts' stale observations feed the same counter the standalone
-  // injector does, keeping RunResult::stale_reads bit-identical.
-  sim_->context().stats().add_stale_reads(stale);
-  sim_->step_with(assembled_);
+  const ValueVector& monitored = window_->step(t, assembled_, sim_->profiler());
+  facts.window_expirations = window_->window_expirations();
+  sim_->step_on(monitored, facts);
 
   // Ship the step's filter deltas, shard by shard. Always send — an empty
   // update is the node-host's signal that the control phase is over.

@@ -2,10 +2,10 @@
 //
 // The coordinator owns the *unmodified* monitoring protocol on an
 // externally-driven Simulator: per step it assembles the full effective
-// observation vector from the node-hosts' shard reports, feeds it through
-// Simulator::step_with (which windows, books messages, and runs the
-// protocol exactly as the in-process simulator does), then ships the step's
-// filter deltas back to the shards. Consequences:
+// observation vector from the node-hosts' shard reports, windows it in a
+// window-only FleetPipeline, feeds it through Simulator::step_on (which books
+// messages and runs the protocol exactly as the in-process simulator does),
+// then ships the step's filter deltas back to the shards. Consequences:
 //
 //   * Model-level accounting (CommStats: messages, kinds, tags, rounds,
 //     losses, recoveries) is produced by the very same code as the
@@ -15,16 +15,13 @@
 //   * Wire-level traffic is accounted separately per link
 //     (NetChannelStats), summed into RunResult::net.
 //
-// Fault plumbing: the coordinator attaches the FleetSchedule as a fault
-// *channel* (loss accounting + scripted membership recovery) but installs no
-// injector — value-level faults are produced by the node-hosts, which own
-// the data plane. Stale-read counts reported per shard are summed into the
-// same CommStats counter the standalone injector feeds. Link outages map
-// onto the protocol's recovery machinery: when a link comes back from a
-// scripted outage, the next step runs MonitoringProtocol::
-// on_membership_change and books a recovery round
-// (Simulator::force_recovery_next_step), so reconnections exercise the same
-// path scripted churn does.
+// Fault plumbing: the Simulator's SimConfig carries the FleetSchedule (loss
+// accounting + scripted membership recovery); value-level faults come from
+// the node-hosts' pipelines, which own the data plane, and their per-shard
+// stale-read counts arrive as StepFacts::stale_reads. When a link comes back
+// from a scripted outage, that step runs MonitoringProtocol::
+// on_membership_change and books a recovery round (StepFacts::recovery), so
+// reconnections exercise the same path scripted churn does.
 #pragma once
 
 #include <memory>
@@ -84,6 +81,7 @@ class NetCoordinator {
   std::vector<std::unique_ptr<Link>> links_;       ///< accept order
   std::vector<Link*> link_of_host_;                ///< host index -> link
   std::unique_ptr<Simulator> sim_;
+  std::unique_ptr<FleetPipeline> window_;          ///< window-only pipeline
   ValueVector assembled_;                          ///< full effective vector
   std::uint64_t quiescence_errors_ = 0;
   telemetry::TelemetrySink* telemetry_ = nullptr;

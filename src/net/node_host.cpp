@@ -2,30 +2,23 @@
 
 #include <vector>
 
-#include "faults/injector.hpp"
-#include "model/fleet_state.hpp"
 #include "model/filter.hpp"
-#include "model/window.hpp"
-#include "sim/stream.hpp"
+#include "model/fleet_pipeline.hpp"
 #include "streams/registry.hpp"
 
 namespace topkmon::net {
 
 /// The deterministic full-fleet workload machinery one host rebuilds from
-/// the Config message. Seeds mirror the standalone Simulator exactly
-/// (generator stream 0x5EED of the master seed), so the values a host
-/// reports are bit-identical to what an in-process run would produce.
+/// the Config message: the same FleetPipeline, on the same seeds, as the
+/// standalone Simulator, so the values a host reports are bit-identical to
+/// what an in-process run would produce.
 struct NodeHost::State {
   RunSpec spec;
   std::uint32_t lo = 0;
   std::uint32_t hi = 0;
 
-  std::unique_ptr<StreamGenerator> gen;
-  Rng gen_rng{0};
-  FleetState fleet;
-  std::unique_ptr<FaultInjector> injector;
-  std::unique_ptr<WindowedValueModel> window;  ///< quiescence-check mirror
-  std::vector<Filter> filters;                 ///< shard entries only
+  FleetPipeline pipeline;
+  std::vector<Filter> filters;  ///< shard entries only
   OutputSet empty_output;  ///< the AdversaryView target (non-adaptive kinds)
   TimeStep expected_t = 0;
   const ValueVector* monitored = nullptr;  ///< this step's windowed view
@@ -34,17 +27,10 @@ struct NodeHost::State {
       : spec(cfg.spec),
         lo(cfg.shard_lo),
         hi(cfg.shard_hi),
-        gen(make_stream(cfg.spec.stream)),
-        gen_rng(Rng::derive(cfg.spec.seed, /*stream_id=*/0x5EED)),
-        fleet(cfg.spec.stream.n),
-        filters(cfg.spec.stream.n) {
-    const FleetSchedulePtr schedule =
-        make_fleet_schedule(spec.faults, spec.stream.n);
-    if (schedule) injector = std::make_unique<FaultInjector>(schedule);
-    if (spec.window != kInfiniteWindow) {
-      window = std::make_unique<WindowedValueModel>(spec.stream.n, spec.window);
-    }
-  }
+        pipeline(make_stream(cfg.spec.stream), cfg.spec.seed,
+                 make_fleet_schedule(cfg.spec.faults, cfg.spec.stream.n),
+                 cfg.spec.window),
+        filters(cfg.spec.stream.n) {}
 };
 
 NodeHost::NodeHost(std::unique_ptr<Link> link, std::uint32_t host_index,
@@ -114,35 +100,22 @@ bool NodeHost::handle_step_begin(TimeStep t) {
          std::to_string(s.expected_t));
     return false;
   }
-  // Deterministic full-fleet generation — same RNG stream as the standalone
+  // Deterministic full-fleet pipeline — same RNG stream as the standalone
   // Simulator. The AdversaryView is empty: adaptive kinds are rejected at
-  // spec validation, and every other generator ignores the view.
-  ValueVector& staging = s.fleet.staging();
-  if (t == 0) {
-    s.gen->init(staging, s.gen_rng);
-  } else {
-    const AdversaryView view{{}, &s.empty_output, s.spec.stream.k,
-                             s.spec.stream.epsilon};
-    s.gen->step(t, view, staging, s.gen_rng);
-  }
-  const ValueVector* eff = &staging;
-  std::uint64_t stale = 0;
-  if (s.injector) {
-    eff = &s.injector->transform(t, staging, s.fleet);
-    const auto flags = s.fleet.fault_flags();
-    for (std::uint32_t i = s.lo; i < s.hi; ++i) {
-      stale += (flags[i] & kFaultStale) ? 1 : 0;
-    }
-  }
-  // The monitored view — what the coordinator's protocol sees and assigns
-  // filters against — is the windowed effective vector.
-  s.monitored = s.window ? &s.window->push(t, *eff) : eff;
+  // spec validation, and every other generator ignores the view. The
+  // monitored vector — what the coordinator's protocol sees and assigns
+  // filters against — is the windowed effective vector; the shard report
+  // carries the effective values, which the coordinator windows itself.
+  const AdversaryView view{{}, &s.empty_output, s.spec.stream.k,
+                           s.spec.stream.epsilon};
+  s.monitored = &s.pipeline.step(t, view, nullptr);
+  const ValueVector& eff = s.pipeline.effective();
 
   ShardValuesMsg msg;
   msg.t = t;
   msg.lo = s.lo;
-  msg.values.assign(eff->begin() + s.lo, eff->begin() + s.hi);
-  msg.stale = stale;
+  msg.values.assign(eff.begin() + s.lo, eff.begin() + s.hi);
+  msg.stale = s.pipeline.stale_reads(s.lo, s.hi);
   for (std::uint32_t i = s.lo; i < s.hi; ++i) {
     msg.violations += s.filters[i].check((*s.monitored)[i]) != Violation::kNone;
   }

@@ -4,10 +4,10 @@
 // the full RunSpec in the Config handshake (zero workload flags of its own)
 // and then, per step, in lockstep with the coordinator:
 //
-//   1. StepBegin{t}  — runs the deterministic full-fleet generator and fault
-//      injector locally (same seeds as the in-process Simulator, so every
-//      host reproduces the identical effective vector) and slices out its
-//      shard;
+//   1. StepBegin{t}  — runs the deterministic full-fleet FleetPipeline
+//      (generator, fault injector, window) locally — the same pipeline, on
+//      the same seeds, as the in-process Simulator, so every host reproduces
+//      the identical effective vector — and slices out its shard;
 //   2. ShardValues   — reports the shard's effective values plus node-side
 //      observations: stale-read count (kFaultStale flags in the shard) and
 //      current filter violations;
@@ -21,9 +21,8 @@
 // the standalone Simulator (bit-identical values without any cross-host
 // value exchange). Only the shard slice ever crosses the wire.
 //
-// Windowing: the coordinator owns the authoritative window model (its
-// Simulator windows the assembled vector exactly as a standalone one would).
-// The node-host keeps its own window model purely to evaluate filter
+// Windowing: shard reports carry pre-window values, which the coordinator
+// windows itself; the host's pipeline windows too, purely to check filter
 // quiescence against the same monitored values the protocol sees.
 #pragma once
 

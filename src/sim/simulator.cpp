@@ -11,113 +11,67 @@ namespace topkmon {
 
 Simulator::Simulator(SimConfig cfg, std::unique_ptr<StreamGenerator> gen,
                      std::unique_ptr<MonitoringProtocol> protocol)
-    : cfg_(cfg),
-      gen_(std::move(gen)),
-      protocol_(std::move(protocol)),
-      ctx_(SimParams{gen_ ? gen_->n() : 0, cfg.k, cfg.epsilon, cfg.threshold},
-           cfg.seed),
-      gen_rng_(Rng::derive(cfg.seed, /*stream_id=*/0x5EED)),
-      fleet_(gen_ ? gen_->n() : 1, cfg.window) {
-  TOPKMON_ASSERT(gen_ != nullptr);
-  TOPKMON_ASSERT(protocol_ != nullptr);
-  if (cfg_.faults) {
-    attach_fault_channel(cfg_.faults);
-    injector_ = std::make_unique<FaultInjector>(cfg_.faults);
-  }
-  window_view_ = fleet_.window();
+    : Simulator(cfg, gen ? gen->n() : 0, std::move(protocol)) {
+  pipeline_ = std::make_unique<FleetPipeline>(std::move(gen), cfg_.seed,
+                                              cfg_.faults, cfg_.window);
 }
 
 Simulator::Simulator(SimConfig cfg, std::size_t n,
                      std::unique_ptr<MonitoringProtocol> protocol)
     : cfg_(cfg),
-      gen_(nullptr),
       protocol_(std::move(protocol)),
       ctx_(SimParams{n, cfg.k, cfg.epsilon, cfg.threshold}, cfg.seed),
-      gen_rng_(Rng::derive(cfg.seed, /*stream_id=*/0x5EED)),
-      fleet_(n, cfg.window) {
+      fleet_(n) {
   TOPKMON_ASSERT(protocol_ != nullptr);
   if (cfg_.faults) {
-    attach_fault_channel(cfg_.faults);
-    injector_ = std::make_unique<FaultInjector>(cfg_.faults);
+    TOPKMON_ASSERT_MSG(cfg_.faults->n() == n, "fault schedule sized for wrong fleet");
+    // p = 0 arms nothing: count() stays draw-free and bit-identical.
+    ctx_.stats().enable_loss(cfg_.faults->loss(),
+                             Rng::derive(cfg_.seed, /*stream_id=*/0x1055));
   }
-  window_view_ = fleet_.window();
-}
-
-void Simulator::attach_window_channel(const WindowedValueModel* model) {
-  TOPKMON_ASSERT_MSG(fleet_.window() == nullptr,
-                     "window channel conflicts with SimConfig::window");
-  TOPKMON_ASSERT_MSG(next_t_ == 0, "window channel must attach before the first step");
-  window_view_ = model;
-}
-
-void Simulator::attach_fault_channel(FleetSchedulePtr faults) {
-  TOPKMON_ASSERT(faults != nullptr);
-  TOPKMON_ASSERT_MSG(faults->n() == ctx_.n(), "fault schedule sized for wrong fleet");
-  TOPKMON_ASSERT_MSG(next_t_ == 0, "fault channel must attach before the first step");
-  faults_ = std::move(faults);
-  // p = 0 arms nothing: count() stays draw-free and bit-identical.
-  ctx_.stats().enable_loss(faults_->loss(),
-                           Rng::derive(cfg_.seed, /*stream_id=*/0x1055));
 }
 
 void Simulator::step() {
-  TOPKMON_ASSERT_MSG(gen_ != nullptr,
+  TOPKMON_ASSERT_MSG(pipeline_ != nullptr,
                      "Simulator without generator must be driven via step_with()");
-  // The generator writes the raw (true) vector into the fleet's preallocated
-  // staging buffer in place.
-  {
-    TOPKMON_PHASE_SCOPE(profiler_, telemetry::Phase::kGenerator);
-    if (next_t_ == 0) {
-      gen_->init(fleet_.staging(), gen_rng_);
-    } else {
-      const AdversaryView view{ctx_.nodes(), &protocol_->output(), cfg_.k,
-                               cfg_.epsilon};
-      gen_->step(next_t_, view, fleet_.staging(), gen_rng_);
-    }
-  }
-  step_with(fleet_.staging());
+  const AdversaryView view{ctx_.nodes(), &protocol_->output(), cfg_.k, cfg_.epsilon};
+  step_on_pipeline(pipeline_->step(next_t_, view, profiler_));
 }
 
 void Simulator::step_with(const ValueVector& values) {
-  // Standalone fault injection: churn/straggler effects rewrite the true
-  // vector into what the fleet actually observes, in place inside the
-  // fleet's effective buffer. (Engine-driven simulators receive
-  // pre-transformed snapshots; their injector_ stays null.)
-  const ValueVector* eff = &values;
-  if (injector_) {
-    TOPKMON_PHASE_SCOPE(profiler_, telemetry::Phase::kFaultInject);
-    eff = &injector_->transform(next_t_, values, fleet_);
+  if (!pipeline_) {
+    pipeline_ = std::make_unique<FleetPipeline>(ctx_.n(), cfg_.faults, cfg_.window);
   }
-  // Standalone windowing: nodes report the maximum of what they observed
-  // over the last W steps. (Engine-driven simulators receive pre-windowed
-  // snapshots; their fleet owns no window model.)
-  if (WindowedValueModel* wm = fleet_.window()) {
-    TOPKMON_PHASE_SCOPE(profiler_, telemetry::Phase::kWindowMerge);
-    eff = &wm->push(next_t_, *eff);
-  }
+  step_on_pipeline(pipeline_->step(next_t_, values, profiler_));
+}
 
+void Simulator::step_on_pipeline(const ValueVector& monitored) {
+  StepFacts facts;
+  facts.stale_reads = pipeline_->stale_reads();
+  facts.window_expirations = pipeline_->window_expirations();
+  step_on(monitored, facts);
+}
+
+void Simulator::step_on(const ValueVector& monitored, const StepFacts& facts) {
   {
     TOPKMON_PHASE_SCOPE(profiler_, telemetry::Phase::kAdvanceTime);
     ctx_.stats().begin_step();
-    ctx_.advance_time(*eff);
+    ctx_.advance_time(monitored);
   }
-  if (injector_) {
-    ctx_.stats().add_stale_reads(injector_->last_stale());
-  }
+  ctx_.stats().add_stale_reads(facts.stale_reads);
+  window_expirations_ += facts.window_expirations;
 
   {
     // Protocol rounds (nested collect_violations time is additionally
     // attributed to kViolationCollect — shares are of inclusive time).
     TOPKMON_PHASE_SCOPE(profiler_, telemetry::Phase::kProtocol);
     if (next_t_ == 0) {
-      protocol_->start(ctx_);
-      force_recovery_ = false;  // start() already (re)validates everything
-    } else if ((faults_ && faults_->membership_changed_at(next_t_)) ||
-               force_recovery_) {
-      force_recovery_ = false;
+      protocol_->start(ctx_);  // start() already (re)validates everything
+    } else if ((cfg_.faults && cfg_.faults->membership_changed_at(next_t_)) ||
+               facts.recovery) {
       protocol_->on_membership_change(ctx_);
       ctx_.stats().add_recovery();
-    } else if (window_view_ && window_view_->last_expirations() > 0) {
+    } else if (facts.window_expirations > 0) {
       protocol_->on_window_expiry(ctx_);
     } else {
       protocol_->on_step(ctx_);
@@ -125,9 +79,8 @@ void Simulator::step_with(const ValueVector& values) {
   }
 
   std::size_t sigma;
-  if (sigma_hook_) {
-    TOPKMON_PHASE_SCOPE(profiler_, telemetry::Phase::kSigma);
-    sigma = sigma_hook_(cfg_.k, cfg_.epsilon);
+  if (facts.sigma) {
+    sigma = *facts.sigma;
   } else {
     // Incremental order maintenance: quiescent steps cost one diff pass and
     // two binary searches instead of an O(n log n) sort with allocations.
@@ -140,7 +93,7 @@ void Simulator::step_with(const ValueVector& values) {
     TopKOrder& order = fleet_.order();
     {
       TOPKMON_PHASE_SCOPE(profiler_, telemetry::Phase::kOrderUpdate);
-      order.update(*eff);
+      order.update(monitored);
     }
     TOPKMON_PHASE_SCOPE(profiler_, telemetry::Phase::kSigma);
     sigma = order.sigma(cfg_.k, cfg_.epsilon);
@@ -148,11 +101,11 @@ void Simulator::step_with(const ValueVector& values) {
   max_sigma_ = std::max(max_sigma_, sigma);
   if (cfg_.record_history) {
     // What the algorithm (and the offline OPT it is compared against) saw.
-    history_.push_back(*eff);
+    history_.push_back(monitored);
   }
   if (cfg_.strict) {
     TOPKMON_PHASE_SCOPE(profiler_, telemetry::Phase::kStrictValidate);
-    validate_strict(*eff);
+    validate_strict(monitored);
   }
   if (telemetry_ != nullptr) {
     publish_telemetry(sigma);
@@ -190,9 +143,7 @@ void Simulator::publish_telemetry(std::size_t sigma) {
   // cannot perturb results.
   telemetry::MetricsRegistry& reg = telemetry_->registry();
   const CommStats& s = ctx_.stats();
-  publish_stats(
-      reg, ids_.stats,
-      StatsSnapshot::from(s, window_view_ ? window_view_->total_expirations() : 0));
+  publish_stats(reg, ids_.stats, StatsSnapshot::from(s, window_expirations_));
   if (const TopKOrder* order = fleet_.order_if_ready()) {
     reg.set(ids_.order_repairs, order->repairs());
     reg.set(ids_.order_rebuilds, order->rebuilds());
@@ -296,8 +247,7 @@ RunResult Simulator::run(TimeStep steps) {
 RunResult Simulator::result() const {
   RunResult r;
   const auto& s = ctx_.stats();
-  static_cast<StatsSnapshot&>(r) = StatsSnapshot::from(
-      s, window_view_ ? window_view_->total_expirations() : 0);
+  static_cast<StatsSnapshot&>(r) = StatsSnapshot::from(s, window_expirations_);
   r.steps = s.steps();
   r.max_rounds_per_step = s.max_rounds_per_step();
   r.max_sigma = max_sigma_;

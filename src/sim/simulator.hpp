@@ -1,4 +1,9 @@
-// Simulator — drives generator → protocol → validation per time step.
+// Simulator — drives pipeline → protocol → validation per time step.
+//
+// The node side of a step is a FleetPipeline (model/fleet_pipeline.hpp); the
+// Simulator is the server side, entered through step_on(monitored, facts).
+// step() and step_with() run the Simulator's own pipeline first; the engine
+// and the networked coordinator run theirs and call step_on directly.
 //
 // Strict mode re-checks after every step that the protocol upheld its
 // contract (output correctness via the Oracle, filter validity via
@@ -7,23 +12,21 @@
 // stream the online algorithm saw — required because adaptive adversaries
 // make the stream depend on the algorithm's randomness.
 //
-// Hot path: all per-step state lives in a preallocated SoA FleetState
-// (model/fleet_state.hpp) — generator staging, fault-effective values and
-// flags, window rings — and σ(t) comes from the fleet's incremental
-// TopKOrder instead of a per-step sort, so a steady-state step performs no
-// heap allocation (see util/alloc_counter.hpp). Strict-mode scratch (the
-// filter snapshot the validator consumes) is captured lazily into a
-// reusable arena only when validation actually runs.
+// Hot path: σ(t) comes from an incremental TopKOrder (or the driver)
+// instead of a per-step sort, so a steady-state step performs no heap
+// allocation (see util/alloc_counter.hpp). Strict-mode scratch (the filter
+// snapshot the validator consumes) is captured lazily into a reusable arena
+// only when validation actually runs.
 #pragma once
 
 #include <array>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
-#include "faults/injector.hpp"
 #include "faults/schedule.hpp"
 #include "model/band_ladder.hpp"
+#include "model/fleet_pipeline.hpp"
 #include "model/fleet_state.hpp"
 #include "model/window.hpp"
 #include "sim/context.hpp"
@@ -54,9 +57,9 @@ struct SimConfig {
   Value threshold = 0;
 
   /// Fault model (src/faults): null = perfectly reliable static fleet. With
-  /// a schedule attached the simulator injects churn/straggler effects into
-  /// the observation vector, applies lossy-link accounting, and fires the
-  /// protocol's recovery hook on membership changes. An all-zero schedule
+  /// a schedule the simulator applies lossy-link accounting and fires the
+  /// protocol's recovery hook on membership changes; the churn/straggler
+  /// rewrite itself happens in a FleetPipeline. An all-zero schedule
   /// reproduces the fault-free run bit-identically.
   FleetSchedulePtr faults;
 
@@ -66,6 +69,17 @@ struct SimConfig {
   /// semantics bit-identically. The transform applies *after* fault
   /// injection — nodes window what they actually observed.
   std::size_t window = kInfiniteWindow;
+};
+
+/// What a driver's pipeline knows about step t besides the monitored vector.
+struct StepFacts {
+  /// Run membership recovery even if the schedule scripts none (a networked
+  /// link came back); ignored at t = 0, where start() runs.
+  bool recovery = false;
+  std::uint64_t stale_reads = 0;
+  std::uint64_t window_expirations = 0;  ///< > 0 runs on_window_expiry
+  /// σ(t) for the Simulator's (k, ε), if the driver already knows it.
+  std::optional<std::size_t> sigma;
 };
 
 /// The StatsSnapshot core (comm totals/kinds/tags/rounds, fault metrics —
@@ -81,22 +95,26 @@ struct RunResult : StatsSnapshot {
 
 class Simulator {
  public:
+  /// Standalone: its pipeline generates from `gen`, with cfg's faults and
+  /// window.
   Simulator(SimConfig cfg, std::unique_ptr<StreamGenerator> gen,
             std::unique_ptr<MonitoringProtocol> protocol);
 
-  /// Externally-driven simulator: no generator; observation vectors are
-  /// injected per step via `step_with`. Used by the MonitoringEngine, which
-  /// runs one shared generator for many query simulators.
+  /// No generator: driven by step_with() — whose pipeline is built on first
+  /// use — or by step_on() alone, which builds no node-side state.
   Simulator(SimConfig cfg, std::size_t n,
             std::unique_ptr<MonitoringProtocol> protocol);
 
-  /// Advances one time step (t = 0 on the first call).
+  /// Advances one time step (t = 0 on the first call) on the generator.
   void step();
 
-  /// Snapshot hook: advances one time step with an externally supplied
-  /// observation vector (size n). Usable with or without a generator; the
-  /// generator, if any, is bypassed for this step.
+  /// Advances one time step on an externally supplied true vector (size n),
+  /// still through cfg's faults and window; bypasses the generator.
   void step_with(const ValueVector& values);
+
+  /// Advances one time step on a monitored vector (size n) that a driver's
+  /// pipeline already fault-injected and windowed.
+  void step_on(const ValueVector& monitored, const StepFacts& facts);
 
   /// Runs `steps` time steps and returns aggregate statistics.
   RunResult run(TimeStep steps);
@@ -108,11 +126,6 @@ class Simulator {
   const SimContext& context() const { return ctx_; }
   MonitoringProtocol& protocol() { return *protocol_; }
   const MonitoringProtocol& protocol() const { return *protocol_; }
-  bool has_generator() const { return gen_ != nullptr; }
-  const StreamGenerator& generator() const {
-    TOPKMON_ASSERT_MSG(gen_ != nullptr, "externally-driven Simulator has no generator");
-    return *gen_;
-  }
 
   /// Recorded observation history (empty unless cfg.record_history).
   const std::vector<ValueVector>& history() const { return history_; }
@@ -120,46 +133,9 @@ class Simulator {
   std::size_t max_sigma() const { return max_sigma_; }
   const SimConfig& config() const { return cfg_; }
 
-  /// The fleet's SoA step state (staging/effective buffers, fault flags,
-  /// window rings, incremental order).
+  /// The σ path's incremental order, built on the first step without a
+  /// precomputed σ.
   const FleetState& fleet() const { return fleet_; }
-
-  /// Engine hook: supplies σ(t) for (k, ε) on the current step's values in
-  /// place of the per-simulator incremental-order computation. Must return
-  /// the identical quantity (shared-snapshot memoization, not
-  /// approximation).
-  using SigmaFn = std::function<std::size_t(std::size_t k, double epsilon)>;
-  void set_sigma_hook(SigmaFn fn) { sigma_hook_ = std::move(fn); }
-
-  /// Engine plumbing: arms lossy-link accounting and membership-change
-  /// recovery from `faults` WITHOUT value injection — the engine transforms
-  /// the shared snapshot once per step before fanning it out, so per-query
-  /// simulators must not transform again. Standalone use goes through
-  /// SimConfig::faults instead, which additionally installs the injector.
-  void attach_fault_channel(FleetSchedulePtr faults);
-
-  /// The attached fault schedule (null on the fault-free path).
-  const FleetSchedule* faults() const { return faults_.get(); }
-
-  /// Net-runtime plumbing: forces the next step to run the protocol's
-  /// membership-change recovery (and book a recovery round) even if the
-  /// fault schedule scripts none — the networked coordinator fires this when
-  /// a node-host link comes back from an outage, so reconnections exercise
-  /// the same recovery path scripted churn does. One-shot; never armed on
-  /// the loss-free path, which therefore stays bit-identical.
-  void force_recovery_next_step() { force_recovery_ = true; }
-
-  /// Engine plumbing: points this query at the engine's shared per-window
-  /// value model WITHOUT value transformation — the engine windows the
-  /// shared snapshot once per step before fanning it out, and per-query
-  /// simulators only consult the model for expiry dispatch (the
-  /// on_window_expiry hook) and the window_expirations metric. Standalone
-  /// use goes through SimConfig::window instead, which owns a model (inside
-  /// the FleetState) and additionally applies the transform in step_with().
-  void attach_window_channel(const WindowedValueModel* model);
-
-  /// The window model in effect (owned or engine-shared); null = unwindowed.
-  const WindowedValueModel* window_model() const { return window_view_; }
 
   // ---- telemetry (src/telemetry) ------------------------------------------
 
@@ -186,23 +162,21 @@ class Simulator {
   void validate_strict(const ValueVector& values);
   void publish_telemetry(std::size_t sigma);
 
+  /// Advances the own pipeline's output through step_on.
+  void step_on_pipeline(const ValueVector& monitored);
+
   SimConfig cfg_;
-  std::unique_ptr<StreamGenerator> gen_;
   std::unique_ptr<MonitoringProtocol> protocol_;
   SimContext ctx_;
-  Rng gen_rng_;
-  FleetSchedulePtr faults_;                  ///< loss + recovery channel
-  std::unique_ptr<FaultInjector> injector_;  ///< value faults (standalone only)
-  FleetState fleet_;  ///< SoA step state: staging, effective, flags, window
-  const WindowedValueModel* window_view_ = nullptr;   ///< owned or engine-shared
+  std::unique_ptr<FleetPipeline> pipeline_;  ///< step()/step_with() only
+  FleetState fleet_;  ///< σ-path order (lazy)
   std::vector<ValueVector> history_;
-  SigmaFn sigma_hook_;
+  std::uint64_t window_expirations_ = 0;
   ScratchArena strict_arena_;  ///< lazy validator scratch (strict mode only)
   BandLadder strict_ladder_;   ///< count-distinct oracle ladder (built once; ε fixed)
   bool strict_ladder_ready_ = false;
   std::size_t max_sigma_ = 0;
   TimeStep next_t_ = 0;
-  bool force_recovery_ = false;  ///< one-shot link-reconnect recovery (net)
 
   /// Registry ids of the simulator's metric namespace (attach_telemetry):
   /// the shared StatsSnapshot block plus the sim-specific gauges.

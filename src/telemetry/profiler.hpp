@@ -1,12 +1,13 @@
 // StepProfiler — per-phase wall-time attribution for the step hot path.
 //
-// The step loop of Simulator::step_with / MonitoringEngine::step decomposes
-// into a fixed set of phases (fault injection, window merge, order
-// maintenance, σ, protocol rounds, violation collection, …). Scoped RAII
-// timers (ScopedPhase, usually via TOPKMON_PHASE_SCOPE) attribute wall time
-// to each phase: per-phase ns totals, call counts, and a log2-bucket latency
-// histogram — enough to see *which* phase regressed when a bench gate trips,
-// not just that the step got slower.
+// A step — FleetPipeline::step then Simulator::step_on, or
+// MonitoringEngine::step — decomposes into a fixed set of phases (generator,
+// fault injection, window merge, order maintenance, σ, protocol rounds,
+// violation collection, …). Scoped RAII timers (ScopedPhase, usually via
+// TOPKMON_PHASE_SCOPE) attribute wall time to each phase: per-phase ns
+// totals, call counts, and a log2-bucket latency histogram — enough to see
+// *which* phase regressed when a bench gate trips, not just that the step got
+// slower.
 //
 // Cost model: a scope is two clock reads plus a handful of plain adds, and
 // only when a profiler is attached (a null profiler skips the clock reads

@@ -1,10 +1,11 @@
 // Counting allocator hook — the enforcement arm of the zero-allocation
 // invariant.
 //
-// The batched hot path (Simulator::step_with, StepSnapshot::begin_step,
-// EngineShard::advance) is engineered so a steady-state step performs ZERO heap
-// allocations: every buffer is preallocated in FleetState / TopKOrder /
-// WindowedValueModel / ScratchArena and reused. This header gives tests and
+// The batched hot path (FleetPipeline::step, Simulator::step_on,
+// StepSnapshot::begin_step, EngineShard::advance) is engineered so a
+// steady-state step performs ZERO heap allocations: every buffer is
+// preallocated in FleetState / TopKOrder / WindowedValueModel / ScratchArena
+// and reused. This header gives tests and
 // benches the instrument to *prove* that instead of assuming it.
 //
 // When the library is configured with TOPKMON_COUNT_ALLOCS (the default for

@@ -389,5 +389,37 @@ TEST(EngineFaults, DegradedFleetIsDeterministicAcrossThreadCounts) {
   EXPECT_GT(one.messages_lost, 0u);
 }
 
+TEST(EngineFaults, PerQueryConfigReportsRealWindowAndSchedule) {
+  FaultConfig fcfg = fault_preset("flaky");
+  fcfg.horizon = 80;
+  fcfg.seed = 3;
+  const FleetSchedulePtr sched = make_fleet_schedule(fcfg, 24);
+  ASSERT_NE(sched, nullptr);
+
+  EngineConfig cfg;
+  cfg.threads = 2;
+  cfg.seed = 11;
+  cfg.faults = sched;
+  MonitoringEngine engine(cfg, make_stream(fleet_spec(24, 4)));
+  std::vector<QuerySpec> specs;
+  for (const std::size_t window : {kInfiniteWindow, std::size_t{4}, std::size_t{16}}) {
+    QuerySpec spec;
+    spec.k = 3 + window % 5;
+    spec.epsilon = window == 4 ? 0.2 : 0.1;
+    spec.window = window;
+    specs.push_back(spec);
+    engine.add_query(spec);
+  }
+  engine.run(80);
+
+  for (QueryHandle h = 0; h < specs.size(); ++h) {
+    const SimConfig& qc = engine.query_sim(h).config();
+    EXPECT_EQ(qc.window, specs[h].window) << "query " << h;
+    EXPECT_EQ(qc.faults, sched) << "query " << h;
+    EXPECT_EQ(qc.k, specs[h].k) << "query " << h;
+    EXPECT_EQ(qc.epsilon, specs[h].epsilon) << "query " << h;
+  }
+}
+
 }  // namespace
 }  // namespace topkmon

@@ -176,7 +176,6 @@ TEST(WindowBitIdentity, HugeWindowIsRunningMax) {
 EngineStats run_engine(std::size_t threads, bool share, std::uint64_t seed) {
   EngineConfig cfg;
   cfg.threads = threads;
-  cfg.shard_count = threads;
   cfg.seed = seed;
   cfg.share_probes = share;
   MonitoringEngine engine(cfg, make_stream(walk_spec(24, 4)));
