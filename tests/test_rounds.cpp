@@ -18,6 +18,12 @@ struct RoundsCase {
   std::size_t n;
 };
 
+// Without this, gtest prints the raw bytes of the case, string heap pointers
+// included, and the discovered test names change from build to build.
+void PrintTo(const RoundsCase& c, std::ostream* os) {
+  *os << c.protocol << "/" << c.stream << "/" << c.n;
+}
+
 class RoundBudget : public ::testing::TestWithParam<RoundsCase> {};
 
 TEST_P(RoundBudget, PolylogRoundsPerStep) {
