@@ -1,9 +1,8 @@
 #include "engine/shared_probe.hpp"
 
 #include <algorithm>
-#include <optional>
+#include <numeric>
 
-#include "protocols/existence.hpp"
 #include "util/assert.hpp"
 
 namespace topkmon {
@@ -16,7 +15,6 @@ void SharedProbe::begin_step(const ValueVector* snapshot) {
   TOPKMON_ASSERT(snapshot != nullptr);
   snapshot_ = snapshot;
   cache_.clear();
-  excluded_.assign(snapshot_->size(), false);
   exhausted_ = snapshot_->empty();
   stats_.begin_step();
 }
@@ -32,23 +30,20 @@ std::vector<ProbeResult> SharedProbe::top(std::size_t m) {
 
 void SharedProbe::extend_locked(std::size_t m) {
   const ValueVector& values = *snapshot_;
+  if (cache_.empty() && !exhausted_) {
+    // First rank of the step: every node is still unranked.
+    pool_.resize(values.size());
+    std::iota(pool_.begin(), pool_.end(), NodeId{0});
+  }
   while (cache_.size() < m && !exhausted_) {
-    // One Lemma 2.6 sample_max over the non-excluded nodes, with the exact
-    // accounting SimContext::sample_max applies (shared core loop).
-    auto best = SimContext::sample_max_over(
-        values.size(),
-        [&](NodeId i, const std::optional<ProbeResult>& so_far) {
-          if (excluded_[i]) return false;
-          if (!so_far) return true;
-          return ranks_above(values[i], i, so_far->value, so_far->id);
-        },
-        [&](NodeId i) { return values[i]; }, stats_, rng_);
-    if (!best) {
+    // One Lemma 2.6 sample_max over the unranked nodes, with the exact
+    // accounting SimContext::probe_top applies (shared core loop).
+    if (!SimContext::probe_next_rank(
+            values.size(), pool_, active_, [&](NodeId i) { return values[i]; }, cache_,
+            stats_, rng_)) {
       exhausted_ = true;
       break;
     }
-    excluded_[best->id] = true;
-    cache_.push_back(*best);
     ++ranks_computed_;
     if (cache_.size() == values.size()) {
       exhausted_ = true;

@@ -66,7 +66,8 @@ class SharedProbe : public ProbeSharer {
   Rng rng_;
   const ValueVector* snapshot_ = nullptr;
   std::vector<ProbeResult> cache_;
-  std::vector<bool> excluded_;
+  std::vector<NodeId> pool_;    ///< nodes not ranked yet this step (ascending)
+  std::vector<NodeId> active_;  ///< sample_max scratch
   bool exhausted_ = false;
   CommStats stats_;
   std::uint64_t calls_ = 0;

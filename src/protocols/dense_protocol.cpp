@@ -15,6 +15,32 @@ constexpr double kNoReport = -1.0;
 }
 
 // ---------------------------------------------------------------------------
+// NodeSet
+// ---------------------------------------------------------------------------
+
+void DenseComponent::NodeSet::insert(NodeId i) {
+  if (mask_[i] != 0) return;
+  mask_[i] = 1;
+  members_.push_back(i);
+}
+
+void DenseComponent::NodeSet::erase(NodeId i) {
+  if (mask_[i] == 0) return;
+  mask_[i] = 0;
+  members_.erase(std::find(members_.begin(), members_.end(), i));
+}
+
+void DenseComponent::NodeSet::clear() {
+  for (const NodeId i : members_) mask_[i] = 0;
+  members_.clear();
+}
+
+void DenseComponent::NodeSet::assign(const NodeSet& other) {
+  clear();
+  for (const NodeId i : other.members_) insert(i);
+}
+
+// ---------------------------------------------------------------------------
 // Seeding
 // ---------------------------------------------------------------------------
 
@@ -27,14 +53,16 @@ DenseComponent::Outcome DenseComponent::begin(SimContext& ctx, const ProbeInfo& 
                      "DenseComponent requires the dense precondition");
 
   role_.assign(n_, Role::kV3);
-  s1_.assign(n_, false);
-  s2_.assign(n_, false);
-  sp1_.assign(n_, false);
-  sp2_.assign(n_, false);
+  v1_.clear();
+  v2_.clear();
+  s1_.reset(n_);
+  s2_.reset(n_);
+  sp1_.reset(n_);
+  sp2_.reset(n_);
   last_report_.assign(n_, kNoReport);
-  v1_count_ = v3_count_ = 0;
   sub_active_ = false;
   output_.clear();
+  in_output_.assign(n_, 0);
 
   // Announce z (and ε, which is public) so nodes can self-classify; then
   // learn every node at or above the neighborhood floor. Costs one
@@ -47,14 +75,14 @@ DenseComponent::Outcome DenseComponent::begin(SimContext& ctx, const ProbeInfo& 
     last_report_[hit.id] = static_cast<double>(hit.value);
     if (clearly_larger(hit.value, info.vk, eps_)) {
       role_[hit.id] = Role::kV1;
+      v1_.push_back(hit.id);
     } else {
       role_[hit.id] = Role::kV2;
+      v2_.push_back(hit.id);
     }
   }
-  for (NodeId i = 0; i < n_; ++i) {
-    if (role_[i] == Role::kV1) ++v1_count_;
-    if (role_[i] == Role::kV3) ++v3_count_;
-  }
+  std::sort(v2_.begin(), v2_.end());
+  v3_count_ = n_ - v1_.size() - v2_.size();
 
   // L0 = [(1−ε)z, z] on the integer grid; z is an observed (integer) value.
   l_lo_ = static_cast<Value>(std::ceil(floor_v2));
@@ -71,8 +99,6 @@ DenseComponent::Outcome DenseComponent::begin(SimContext& ctx, const ProbeInfo& 
 // ---------------------------------------------------------------------------
 // Thresholds, interval halving [D2]
 // ---------------------------------------------------------------------------
-
-double DenseComponent::lr() const { return lr_cached_; }
 
 void DenseComponent::recompute_thresholds() {
   lr_cached_ = midpoint(static_cast<double>(l_lo_), static_cast<double>(l_hi_));
@@ -101,8 +127,6 @@ bool DenseComponent::halve(Half h) {
   }
   return l_lo_ <= l_hi_;
 }
-
-double DenseComponent::sub_lr() const { return sub_lr_cached_; }
 
 bool DenseComponent::sub_halve(Half h) {
   if (sub_lo_ > sub_hi_) return false;
@@ -135,18 +159,17 @@ bool DenseComponent::sub_halve(Half h) {
 // ---------------------------------------------------------------------------
 
 std::size_t DenseComponent::count_above_ur() const {
-  std::size_t c = v1_count_;
-  for (NodeId i = 0; i < n_; ++i) {
-    if (role_[i] == Role::kV2 && s1_[i] && last_report_[i] > ur_cached_) ++c;
+  std::size_t c = v1_.size();
+  for (const NodeId i : s1_.members()) {
+    if (role_[i] == Role::kV2 && last_report_[i] > ur_cached_) ++c;
   }
   return c;
 }
 
 std::size_t DenseComponent::count_below_lr() const {
   std::size_t c = v3_count_;
-  for (NodeId i = 0; i < n_; ++i) {
-    if (role_[i] == Role::kV2 && s2_[i] && last_report_[i] >= 0.0 &&
-        last_report_[i] < lr_cached_) {
+  for (const NodeId i : s2_.members()) {
+    if (role_[i] == Role::kV2 && last_report_[i] >= 0.0 && last_report_[i] < lr_cached_) {
       ++c;
     }
   }
@@ -154,18 +177,17 @@ std::size_t DenseComponent::count_below_lr() const {
 }
 
 std::size_t DenseComponent::sub_count_above() const {
-  std::size_t c = v1_count_;
-  for (NodeId i = 0; i < n_; ++i) {
-    if (role_[i] == Role::kV2 && sp1_[i] && last_report_[i] > sub_ur_cached_) ++c;
+  std::size_t c = v1_.size();
+  for (const NodeId i : sp1_.members()) {
+    if (role_[i] == Role::kV2 && last_report_[i] > sub_ur_cached_) ++c;
   }
   return c;
 }
 
 std::size_t DenseComponent::sub_count_below() const {
   std::size_t c = v3_count_;
-  for (NodeId i = 0; i < n_; ++i) {
-    if (role_[i] == Role::kV2 && sp2_[i] && last_report_[i] >= 0.0 &&
-        last_report_[i] < lr_cached_) {
+  for (const NodeId i : sp2_.members()) {
+    if (role_[i] == Role::kV2 && last_report_[i] >= 0.0 && last_report_[i] < lr_cached_) {
       ++c;
     }
   }
@@ -181,43 +203,41 @@ bool DenseComponent::unique_topk() const {
 // ---------------------------------------------------------------------------
 
 bool DenseComponent::rebuild_output() {
-  std::vector<bool> prev(n_, false);
-  for (NodeId id : output_) prev[id] = true;
-
-  OutputSet forced;
-  std::vector<NodeId> pool;
-  for (NodeId i = 0; i < n_; ++i) {
-    if (role_[i] == Role::kV1) {
-      forced.push_back(i);
-    } else if (role_[i] == Role::kV2) {
-      if (sub_active_) {
-        if (sp1_[i]) {
-          forced.push_back(i);  // S'1 \ S'2 and S'1 ∩ S'2 are both output
-        } else if (!sp2_[i]) {
-          pool.push_back(i);
-        }
-      } else {
-        if (s1_[i] && !s2_[i]) {
-          forced.push_back(i);
-        } else if (!s1_[i] && !s2_[i]) {
-          pool.push_back(i);
-        }
+  // Forced members: V1, plus the V2 nodes the current round commits
+  // (S1 \ S2, or S'1 under the sub). The uncontested rest of V2 is the pool.
+  OutputSet& next = next_output_;
+  next.assign(v1_.begin(), v1_.end());
+  pool_.clear();
+  for (const NodeId i : v2_) {
+    if (sub_active_) {
+      if (sp1_.has(i)) {
+        next.push_back(i);  // S'1 \ S'2 and S'1 ∩ S'2 are both output
+      } else if (!sp2_.has(i)) {
+        pool_.push_back(i);
+      }
+    } else {
+      if (s1_.has(i) && !s2_.has(i)) {
+        next.push_back(i);
+      } else if (!s1_.has(i) && !s2_.has(i)) {
+        pool_.push_back(i);
       }
     }
   }
-  if (forced.size() > k_ || forced.size() + pool.size() < k_) {
+  if (next.size() > k_ || next.size() + pool_.size() < k_) {
     return false;  // [D3]
   }
-  // Fill with pool nodes, preferring current output members (stability).
-  std::stable_sort(pool.begin(), pool.end(), [&](NodeId a, NodeId b) {
-    if (prev[a] != prev[b]) return static_cast<bool>(prev[a]);
-    return a < b;
-  });
-  output_ = forced;
-  for (std::size_t i = 0; output_.size() < k_; ++i) {
-    output_.push_back(pool[i]);
+  // Fill with pool nodes, preferring current output members (stability),
+  // then lowest id: a two-pass stable partition of the ascending pool.
+  for (const bool prev : {true, false}) {
+    for (const NodeId i : pool_) {
+      if (next.size() == k_) break;
+      if ((in_output_[i] != 0) == prev) next.push_back(i);
+    }
   }
-  std::sort(output_.begin(), output_.end());
+  std::sort(next.begin(), next.end());
+  for (const NodeId id : output_) in_output_[id] = 0;
+  output_.swap(next);
+  for (const NodeId id : output_) in_output_[id] = 1;
   return true;
 }
 
@@ -230,9 +250,9 @@ Filter DenseComponent::filter_for(const Node& node) const {
       case Role::kV1: return Filter::at_least(lr_cached_);
       case Role::kV3: return Filter::at_most(sub_ur_cached_);
       case Role::kV2:
-        if (sp1_[i] && !sp2_[i]) return Filter{lr_cached_, z_over};
-        if (sp1_[i] && sp2_[i]) return Filter{sub_lr_cached_, z_over};
-        if (!sp1_[i] && sp2_[i]) return Filter{z_under, sub_ur_cached_};
+        if (sp1_.has(i) && !sp2_.has(i)) return Filter{lr_cached_, z_over};
+        if (sp1_.has(i) && sp2_.has(i)) return Filter{sub_lr_cached_, z_over};
+        if (!sp1_.has(i) && sp2_.has(i)) return Filter{z_under, sub_ur_cached_};
         return Filter{lr_cached_, sub_ur_cached_};
     }
   } else {
@@ -240,11 +260,11 @@ Filter DenseComponent::filter_for(const Node& node) const {
       case Role::kV1: return Filter::at_least(lr_cached_);
       case Role::kV3: return Filter::at_most(ur_cached_);
       case Role::kV2:
-        if (s1_[i] && !s2_[i]) return Filter{lr_cached_, z_over};
-        if (!s1_[i] && s2_[i]) return Filter{z_under, ur_cached_};
+        if (s1_.has(i) && !s2_.has(i)) return Filter{lr_cached_, z_over};
+        if (!s1_.has(i) && s2_.has(i)) return Filter{z_under, ur_cached_};
         // s1 && s2 only exists in the instant before start_sub broadcasts;
         // give it the widest V2 filter defensively.
-        if (s1_[i] && s2_[i]) return Filter{z_under, z_over};
+        if (s1_.has(i) && s2_.has(i)) return Filter{z_under, z_over};
         return Filter{lr_cached_, ur_cached_};
     }
   }
@@ -259,20 +279,24 @@ void DenseComponent::apply_filters(SimContext& ctx) {
 // Role moves
 // ---------------------------------------------------------------------------
 
-void DenseComponent::move_to_v1(NodeId id) {
+void DenseComponent::leave_v2(NodeId id, Role to) {
   TOPKMON_ASSERT(role_[id] == Role::kV2);
-  role_[id] = Role::kV1;
-  ++v1_count_;
-  s1_[id] = s2_[id] = false;
-  sp1_[id] = sp2_[id] = false;
+  role_[id] = to;
+  v2_.erase(std::lower_bound(v2_.begin(), v2_.end(), id));
+  s1_.erase(id);
+  s2_.erase(id);
+  sp1_.erase(id);
+  sp2_.erase(id);
+}
+
+void DenseComponent::move_to_v1(NodeId id) {
+  leave_v2(id, Role::kV1);
+  v1_.push_back(id);
 }
 
 void DenseComponent::move_to_v3(NodeId id) {
-  TOPKMON_ASSERT(role_[id] == Role::kV2);
-  role_[id] = Role::kV3;
+  leave_v2(id, Role::kV3);
   ++v3_count_;
-  s1_[id] = s2_[id] = false;
-  sp1_[id] = sp2_[id] = false;
 }
 
 // ---------------------------------------------------------------------------
@@ -288,8 +312,8 @@ DenseComponent::Outcome DenseComponent::finish_violation(SimContext& ctx) {
 
 DenseComponent::Outcome DenseComponent::after_halve(SimContext& ctx, Half h,
                                                     bool clear_s1, bool clear_s2) {
-  if (clear_s1) std::fill(s1_.begin(), s1_.end(), false);
-  if (clear_s2) std::fill(s2_.begin(), s2_.end(), false);
+  if (clear_s1) s1_.clear();
+  if (clear_s2) s2_.clear();
   if (!halve(h)) return Outcome::kIntervalEmpty;
   ++rounds_;
   recompute_thresholds();
@@ -318,8 +342,8 @@ DenseComponent::Outcome DenseComponent::handle_violation(SimContext& ctx, NodeId
     case Role::kV2:
       break;
   }
-  const bool in1 = s1_[id];
-  const bool in2 = s2_[id];
+  const bool in1 = s1_.has(id);
+  const bool in2 = s2_.has(id);
   if (!in1 && !in2) {
     if (side == Violation::kFromBelow) {
       // Step 3.b: crossed u_r from below.
@@ -327,7 +351,7 @@ DenseComponent::Outcome DenseComponent::handle_violation(SimContext& ctx, NodeId
         // 3.b.1: every k-subset must exclude a node above u_r ⇒ ℓ* ≥ ℓ_r.
         return after_halve(ctx, Half::kUpper, /*clear_s1=*/true, /*clear_s2=*/false);
       }
-      s1_[id] = true;  // 3.b.2; the node derives its new filter itself
+      s1_.insert(id);  // 3.b.2; the node derives its new filter itself
       ctx.set_filter_free(id, filter_for(ctx.nodes()[id]));
       return finish_violation(ctx);
     }
@@ -337,7 +361,7 @@ DenseComponent::Outcome DenseComponent::handle_violation(SimContext& ctx, NodeId
       return after_halve(ctx, Half::kLowerInclusive, /*clear_s1=*/false,
                          /*clear_s2=*/true);
     }
-    s2_[id] = true;  // 3.b'.2
+    s2_.insert(id);  // 3.b'.2
     ctx.set_filter_free(id, filter_for(ctx.nodes()[id]));
     return finish_violation(ctx);
   }
@@ -349,7 +373,7 @@ DenseComponent::Outcome DenseComponent::handle_violation(SimContext& ctx, NodeId
       return finish_violation(ctx);
     }
     // 3.c.2: now in S1 ∩ S2 — the ambiguous case SUBPROTOCOL resolves.
-    s2_[id] = true;
+    s2_.insert(id);
     return start_sub(ctx, id);
   }
   if (!in1 && in2) {
@@ -360,7 +384,7 @@ DenseComponent::Outcome DenseComponent::handle_violation(SimContext& ctx, NodeId
       return finish_violation(ctx);
     }
     // 3.c'.2: S1 ∩ S2 from the other side.
-    s1_[id] = true;
+    s1_.insert(id);
     return start_sub(ctx, id);
   }
   // in1 && in2 in the main protocol should not persist; resolve via sub.
@@ -382,8 +406,8 @@ DenseComponent::Outcome DenseComponent::start_sub(SimContext& ctx, NodeId trigge
   TOPKMON_ASSERT(sub_lo_ <= sub_hi_);
   sub_lr_cached_ = midpoint(static_cast<double>(sub_lo_), static_cast<double>(sub_hi_));
   sub_ur_cached_ = sub_lr_cached_ / (1.0 - eps_);
-  sp1_ = s1_;
-  std::fill(sp2_.begin(), sp2_.end(), false);
+  sp1_.assign(s1_);
+  sp2_.clear();
   if (!rebuild_output()) {
     terminate_sub();
     return Outcome::kInconsistent;
@@ -402,7 +426,8 @@ DenseComponent::Outcome DenseComponent::handle_sub_violation(SimContext& ctx,
     // If the trigger is still ambiguous (S1 ∩ S2), the sub must continue:
     // re-enter with the same trigger. Progress is guaranteed because every
     // sub termination moved some node out of V2 or halved an interval.
-    if (role_[sub_trigger_] == Role::kV2 && s1_[sub_trigger_] && s2_[sub_trigger_]) {
+    if (role_[sub_trigger_] == Role::kV2 && s1_.has(sub_trigger_) &&
+        s2_.has(sub_trigger_)) {
       return start_sub(ctx, sub_trigger_);
     }
     if (unique_topk()) return Outcome::kUniqueTopK;
@@ -413,7 +438,7 @@ DenseComponent::Outcome DenseComponent::handle_sub_violation(SimContext& ctx,
 
   auto sub_upper_half = [&]() -> Outcome {
     // Steps 3'.a / 3'.b.1: evidence ℓ* ≥ ℓ'_r'. S'1 is re-seeded from S1.
-    sp1_ = s1_;
+    sp1_.assign(s1_);
     if (!sub_halve(Half::kUpper)) {
       // L' empty: the last S'1∩S'2 from-above violator (or the trigger)
       // cannot be in any optimal output.
@@ -452,15 +477,15 @@ DenseComponent::Outcome DenseComponent::handle_sub_violation(SimContext& ctx,
       break;
   }
 
-  const bool p1 = sp1_[id];
-  const bool p2 = sp2_[id];
+  const bool p1 = sp1_.has(id);
+  const bool p2 = sp2_.has(id);
   if (!p1 && !p2) {
     if (side == Violation::kFromBelow) {
       // 3'.b: crossed u'_r'.
       if (sub_count_above() + 1 > k_) {
         return sub_upper_half();  // 3'.b.1
       }
-      sp1_[id] = true;  // 3'.b.2
+      sp1_.insert(id);  // 3'.b.2
       ctx.set_filter_free(id, filter_for(ctx.nodes()[id]));
       return finish_sub();
     }
@@ -471,7 +496,7 @@ DenseComponent::Outcome DenseComponent::handle_sub_violation(SimContext& ctx,
       return after_halve(ctx, Half::kLowerInclusive, /*clear_s1=*/false,
                          /*clear_s2=*/true);
     }
-    sp2_[id] = true;  // 3'.b'.2
+    sp2_.insert(id);  // 3'.b'.2
     ctx.set_filter_free(id, filter_for(ctx.nodes()[id]));
     return finish_sub();
   }
@@ -483,7 +508,7 @@ DenseComponent::Outcome DenseComponent::handle_sub_violation(SimContext& ctx,
       return finish_sub();
     }
     // 3'.c.2: joins S'1 ∩ S'2.
-    sp2_[id] = true;
+    sp2_.insert(id);
     ctx.set_filter_free(id, filter_for(ctx.nodes()[id]));
     return finish_sub();
   }
@@ -496,7 +521,7 @@ DenseComponent::Outcome DenseComponent::handle_sub_violation(SimContext& ctx,
     }
     // 3'.d.2: below ℓ'_r' ⇒ ℓ* < ℓ'_r'; halve L' to the lower side.
     sub_last_above_violator_ = id;
-    std::fill(sp2_.begin(), sp2_.end(), false);
+    sp2_.clear();
     if (!sub_halve(Half::kLowerStrict)) {
       if (role_[id] == Role::kV2) move_to_v3(id);
       terminate_sub();
@@ -518,7 +543,7 @@ DenseComponent::Outcome DenseComponent::handle_sub_violation(SimContext& ctx,
     return finish_sub();
   }
   // 3'.c'.2: joins S'1 ∩ S'2.
-  sp1_[id] = true;
+  sp1_.insert(id);
   ctx.set_filter_free(id, filter_for(ctx.nodes()[id]));
   return finish_sub();
 }

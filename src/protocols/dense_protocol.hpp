@@ -34,9 +34,16 @@
 //        candidates, the component reports kInconsistent and the caller
 //        recomputes — a safety valve that preserves correctness and costs
 //        one probe (Lemma 5.2 argues it is unreachable).
+//
+// Knowledge bookkeeping: V1 and V2 are kept as member lists (V2 ascending,
+// which is the output pool's tie order) and S1, S2, S'1, S'2 as byte masks
+// with member lists, so the counters and the output rebuild cost
+// O(|V1| + |V2|) per violation instead of a rescan of all n nodes.
 #pragma once
 
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "protocols/generic_framework.hpp"
 #include "sim/protocol.hpp"
@@ -70,29 +77,60 @@ class DenseComponent {
   std::uint64_t sub_calls() const { return sub_calls_; }
   std::uint64_t sub_rounds() const { return sub_rounds_; }
   Role role(NodeId i) const { return role_[i]; }
-  bool in_s1(NodeId i) const { return s1_[i]; }
-  bool in_s2(NodeId i) const { return s2_[i]; }
-  bool in_sp1(NodeId i) const { return sp1_[i]; }
-  bool in_sp2(NodeId i) const { return sp2_[i]; }
+  bool in_s1(NodeId i) const { return s1_.has(i); }
+  bool in_s2(NodeId i) const { return s2_.has(i); }
+  bool in_sp1(NodeId i) const { return sp1_.has(i); }
+  bool in_sp2(NodeId i) const { return sp2_.has(i); }
   double pivot_z() const { return z_; }
   bool interval_empty() const { return l_lo_ > l_hi_; }
   Value interval_lo() const { return l_lo_; }
   Value interval_hi() const { return l_hi_; }
   Value sub_interval_lo() const { return sub_lo_; }
   Value sub_interval_hi() const { return sub_hi_; }
-  std::size_t v1_count() const { return v1_count_; }
+  std::size_t v1_count() const { return v1_.size(); }
   std::size_t v3_count() const { return v3_count_; }
+  /// Node i's last reported value; negative if it never reported.
+  double last_report(NodeId i) const { return last_report_[i]; }
+  double lr() const { return lr_cached_; }  ///< ℓ_r: midpoint of L on the grid
+  double ur() const { return ur_cached_; }  ///< u_r = ℓ_r / (1−ε)
+  double sub_ur() const { return sub_ur_cached_; }  ///< u'_r' of the subprotocol
+
+  // Knowledge counters [D1], over the member lists:
+  /// |V1| + |{i ∈ S1 : last report > u_r}|.
+  std::size_t count_above_ur() const;
+  /// |V3| + |{i ∈ S2 : last report < ℓ_r}|.
+  std::size_t count_below_lr() const;
+  /// |V1| + |{i ∈ S'1 : last report > u'_r'}|.
+  std::size_t sub_count_above() const;
+  /// |V3| + |{i ∈ S'2 : last report < ℓ_r}|.
+  std::size_t sub_count_below() const;
 
  private:
+  /// A node subset: a byte mask for O(1) membership plus its members in
+  /// insertion order for O(|set|) iteration.
+  class NodeSet {
+   public:
+    void reset(std::size_t n) {
+      mask_.assign(n, 0);
+      members_.clear();
+    }
+    bool has(NodeId i) const { return mask_[i] != 0; }
+    void insert(NodeId i);
+    void erase(NodeId i);
+    void clear();
+    void assign(const NodeSet& other);
+    std::span<const NodeId> members() const { return members_; }
+
+   private:
+    std::vector<std::uint8_t> mask_;
+    std::vector<NodeId> members_;
+  };
+
   // ---- main-protocol helpers ----
-  double lr() const;  ///< midpoint of L (real-valued on the integer grid)
-  double ur() const { return lr() / (1.0 - eps_); }
   void recompute_thresholds();
   bool rebuild_output();  ///< false → inconsistent [D3]
   void apply_filters(SimContext& ctx);
   Filter filter_for(const Node& node) const;
-  std::size_t count_above_ur() const;
-  std::size_t count_below_lr() const;
   bool unique_topk() const;
 
   enum class Half : std::uint8_t { kLowerStrict, kLowerInclusive, kUpper };
@@ -106,14 +144,11 @@ class DenseComponent {
   Outcome start_sub(SimContext& ctx, NodeId trigger);
   Outcome handle_sub_violation(SimContext& ctx, NodeId id, Value value,
                                Violation side);
-  double sub_lr() const;
-  double sub_ur() const { return sub_lr() / (1.0 - eps_); }
   bool sub_halve(Half h);
   /// Ends the subprotocol; resumes the main round (filters rebroadcast by
   /// the caller via finish_violation / after_halve).
   void terminate_sub();
-  std::size_t sub_count_above() const;
-  std::size_t sub_count_below() const;
+  void leave_v2(NodeId id, Role to);  ///< drops id from V2 and every S set
   void move_to_v1(NodeId id);
   void move_to_v3(NodeId id);
 
@@ -123,9 +158,11 @@ class DenseComponent {
   std::size_t n_ = 0;
 
   std::vector<Role> role_;
-  std::vector<bool> s1_, s2_;
-  std::vector<double> last_report_;  ///< NaN = never reported
-  std::size_t v1_count_ = 0, v3_count_ = 0;
+  std::vector<NodeId> v1_;  ///< V1 members
+  std::vector<NodeId> v2_;  ///< V2 members, ascending id
+  std::size_t v3_count_ = 0;
+  NodeSet s1_, s2_;
+  std::vector<double> last_report_;  ///< negative = never reported
 
   // L on the integer grid; empty iff l_lo_ > l_hi_.
   Value l_lo_ = 0, l_hi_ = 0;
@@ -134,12 +171,15 @@ class DenseComponent {
   // Subprotocol state.
   bool sub_active_ = false;
   NodeId sub_trigger_ = 0;
-  std::vector<bool> sp1_, sp2_;
+  NodeSet sp1_, sp2_;
   Value sub_lo_ = 0, sub_hi_ = 0;
   double sub_lr_cached_ = 0.0, sub_ur_cached_ = 0.0;
   std::optional<NodeId> sub_last_above_violator_;
 
   OutputSet output_;
+  std::vector<std::uint8_t> in_output_;  ///< membership mask of output_
+  OutputSet next_output_;                ///< rebuild_output scratch
+  std::vector<NodeId> pool_;             ///< rebuild_output scratch
   std::uint64_t rounds_ = 0;
   std::uint64_t sub_calls_ = 0;
   std::uint64_t sub_rounds_ = 0;

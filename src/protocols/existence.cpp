@@ -1,8 +1,5 @@
 #include "protocols/existence.hpp"
 
-#include <algorithm>
-
-#include "util/assert.hpp"
 #include "util/math.hpp"
 
 namespace topkmon {
@@ -12,50 +9,10 @@ std::uint64_t ExistenceProtocol::max_rounds(std::size_t n) {
   return static_cast<std::uint64_t>(ilog2_ceil(n)) + 1;
 }
 
-ExistenceResult ExistenceProtocol::run(std::size_t n,
-                                       const std::function<bool(NodeId)>& bit,
-                                       const std::function<Value(NodeId)>& value,
-                                       Rng& rng) {
-  TOPKMON_ASSERT(n > 0);
-  ExistenceResult res;
-
-  // Node-side deactivation (free, local): collect the active set once. The
-  // adversary model is per-time-step, so the bit cannot change mid-protocol.
-  std::vector<NodeId> active;
-  for (NodeId i = 0; i < n; ++i) {
-    if (bit(i)) active.push_back(i);
-  }
-
-  const std::uint64_t last_round = max_rounds(n) - 1;  // rounds 0 .. last_round
-  for (std::uint64_t r = 0; r <= last_round; ++r) {
-    ++res.rounds;
-    if (active.empty()) {
-      // No node will ever send; the server waits out the schedule. Silence
-      // through the final (p=1) round proves the disjunction is false.
-      continue;
-    }
-    const double p = std::min(1.0, static_cast<double>(std::uint64_t{1} << std::min<std::uint64_t>(r, 63)) /
-                                       static_cast<double>(n));
-    for (NodeId i : active) {
-      if (rng.bernoulli(p)) {
-        res.senders.push_back({i, value(i)});
-      }
-    }
-    if (!res.senders.empty()) {
-      res.any = true;
-      res.messages = res.senders.size();
-      return res;
-    }
-  }
-  res.any = false;
-  TOPKMON_ASSERT_MSG(active.empty(), "final round has p=1; active nodes must send");
-  return res;
-}
-
 ExistenceResult ExistenceProtocol::run(const std::vector<bool>& bits, Rng& rng) {
   return run(
       bits.size(), [&](NodeId i) { return static_cast<bool>(bits[i]); },
-      [&](NodeId i) { return static_cast<Value>(i); }, rng);
+      [](NodeId i) { return static_cast<Value>(i); }, rng);
 }
 
 }  // namespace topkmon

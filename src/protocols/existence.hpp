@@ -13,13 +13,27 @@
 // message-size budget), which is what makes this usable for violation
 // reporting and threshold queries: the server learns a non-empty *sample* of
 // the witnesses, not just the bit.
+//
+// Active-list core: the node-side deactivation is decided once per run, so
+// the simulation takes the active set itself — an ascending span of the ids
+// whose bit is 1 — and only the per-round draws remain. Callers that keep a
+// persistent active list across runs (sample_max filters it after every
+// improvement, enumerate_nodes drops each run's senders) pay O(|active|)
+// per run instead of O(n) predicate calls. The draw scheme is fixed: one
+// Bernoulli draw per active node, in id order, per round, and none in a
+// round with p ≥ 1 — so every message, round and answer is a function of
+// (n, active set, RNG state) alone, however the caller built the list.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
-#include <functional>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "model/types.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace topkmon {
@@ -31,23 +45,80 @@ struct ExistenceHit {
 
 struct ExistenceResult {
   bool any = false;                  ///< the disjunction
-  std::vector<ExistenceHit> senders; ///< witnesses heard in the stopping round
+  std::vector<ExistenceHit> senders; ///< witnesses heard in the stopping round, id order
   std::uint64_t messages = 0;        ///< node→server messages actually sent
   std::uint64_t rounds = 0;          ///< rounds consumed (≤ ⌈log2 n⌉ + 1)
 };
 
 class ExistenceProtocol {
  public:
-  /// Runs the protocol over nodes {0,…,n−1}. `bit(i)` is evaluated node-side
-  /// (free); `value(i)` supplies the payload senders attach.
-  static ExistenceResult run(std::size_t n, const std::function<bool(NodeId)>& bit,
-                             const std::function<Value(NodeId)>& value, Rng& rng);
+  /// Runs the protocol on a fleet of n nodes whose active (bit = 1) nodes
+  /// are `active` — ascending ids, each < n. `value(i)` supplies the payload
+  /// a sender attaches; it is called for senders only.
+  template <class ValueOf>
+  static ExistenceResult run_active(std::size_t n, std::span<const NodeId> active,
+                                    ValueOf&& value, Rng& rng);
 
-  /// Convenience for plain bit vectors (benches/tests).
+  /// Runs the protocol over nodes {0,…,n−1}: `bit(i)` is evaluated
+  /// node-side (free), once per node.
+  template <class Bit, class ValueOf>
+  static ExistenceResult run(std::size_t n, Bit&& bit, ValueOf&& value, Rng& rng) {
+    std::vector<NodeId> active;
+    for (NodeId i = 0; i < n; ++i) {
+      if (bit(i)) active.push_back(i);
+    }
+    return run_active(n, active, value, rng);
+  }
+
+  /// Convenience for plain bit vectors (benches/tests); senders attach their id.
   static ExistenceResult run(const std::vector<bool>& bits, Rng& rng);
 
   /// Number of rounds the protocol may use for n nodes: ⌈log2 n⌉ + 1.
   static std::uint64_t max_rounds(std::size_t n);
 };
+
+template <class ValueOf>
+ExistenceResult ExistenceProtocol::run_active(std::size_t n,
+                                              std::span<const NodeId> active,
+                                              ValueOf&& value, Rng& rng) {
+  TOPKMON_ASSERT(n > 0);
+  ExistenceResult res;
+  const std::uint64_t rounds = max_rounds(n);
+  if (active.empty()) {
+    // No node will ever send; the server waits out the schedule. Silence
+    // through the final (p=1) round proves the disjunction is false.
+    res.rounds = rounds;
+    return res;
+  }
+  for (std::uint64_t r = 0; r < rounds; ++r) {
+    ++res.rounds;
+    const std::uint64_t shift = std::min<std::uint64_t>(r, 63);
+    const double p = std::min(1.0, static_cast<double>(std::uint64_t{1} << shift) /
+                                       static_cast<double>(n));
+    if (p >= 1.0) {
+      // Rng::bernoulli(p ≥ 1) is true without a draw: every active node sends.
+      for (const NodeId i : active) {
+        res.senders.push_back({i, value(i)});
+      }
+    } else {
+      // Rng::bernoulli(p) = uniform01() < p with uniform01() = (x >> 11)·2^-53.
+      // Both sides scale by 2^53 exactly, so on the integer u = x >> 11 the
+      // test is u < ⌈p·2^53⌉ — the same outcome, without the conversion.
+      const auto below = static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+      for (const NodeId i : active) {
+        if ((rng.next_u64() >> 11) < below) {
+          res.senders.push_back({i, value(i)});
+        }
+      }
+    }
+    if (!res.senders.empty()) {
+      res.any = true;
+      res.messages = res.senders.size();
+      return res;
+    }
+  }
+  TOPKMON_ASSERT_MSG(false, "final round has p=1; active nodes must send");
+  return res;
+}
 
 }  // namespace topkmon

@@ -21,41 +21,4 @@ ProbeInfo probe_top_k_plus_1(SimContext& ctx) {
   return info;
 }
 
-void drain_violations(SimContext& ctx,
-                      const std::function<void(NodeId, Value, Violation)>& handler,
-                      std::uint64_t max_iters) {
-  for (std::uint64_t iter = 0;; ++iter) {
-    TOPKMON_ASSERT_MSG(iter < max_iters, "violation drain did not converge");
-    auto res = ctx.collect_violations();
-    if (!res.any) return;
-    // Process the first reporter; the other senders' reports are stale the
-    // moment the handler changes filters, so the server ignores them (their
-    // messages are already accounted). Nodes still violating will re-report
-    // in the next EXISTENCE run.
-    const auto& hit = res.senders.front();
-    const Violation side = ctx.nodes()[hit.id].filter().check(hit.value);
-    TOPKMON_ASSERT(side != Violation::kNone);
-    handler(hit.id, hit.value, side);
-  }
-}
-
-std::vector<SimContext::ProbeResult> enumerate_nodes(
-    SimContext& ctx, const std::function<bool(const Node&)>& pred) {
-  std::vector<SimContext::ProbeResult> out;
-  std::vector<bool> seen(ctx.n(), false);
-  for (;;) {
-    auto res = ctx.existence(
-        [&](const Node& node) { return !seen[node.id()] && pred(node); },
-        MessageTag::kProbe);
-    if (!res.any) break;
-    for (const auto& hit : res.senders) {
-      if (!seen[hit.id]) {
-        seen[hit.id] = true;
-        out.push_back({hit.id, hit.value});
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace topkmon

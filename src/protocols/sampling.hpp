@@ -1,6 +1,6 @@
 // Standalone sampling protocols (Lemma 2.6) over plain value vectors.
 //
-// These mirror SimContext::sample_max / probe_top but run outside a
+// These run SimContext's sample_max core (sample_max_over) outside a
 // simulator, so benches and tests can measure the message cost of a single
 // invocation in isolation (experiment E2).
 //

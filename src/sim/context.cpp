@@ -1,6 +1,6 @@
 #include "sim/context.hpp"
 
-#include <algorithm>
+#include <numeric>
 
 #include "util/assert.hpp"
 #include "util/simd.hpp"
@@ -11,6 +11,7 @@ SimContext::SimContext(SimParams params, std::uint64_t protocol_seed)
     : params_(params),
       rng_(Rng::derive(protocol_seed, /*stream_id=*/0xC0FFEE)),
       violating_(params.n, 0),
+      violators_(params.n),
       filter_lo_(params.n, Filter::all().lo),
       filter_hi_(params.n, Filter::all().hi) {
   TOPKMON_ASSERT(params.n > 0);
@@ -43,19 +44,10 @@ void SimContext::broadcast(MessageTag tag) {
   stats_.count(MessageKind::kBroadcast, tag);
 }
 
-void SimContext::broadcast_filters(const std::function<Filter(const Node&)>& rule,
-                                   MessageTag tag) {
-  stats_.count(MessageKind::kBroadcast, tag);
-  for (auto& node : nodes_) {
-    install_filter(node.id(), rule(node));
-  }
-}
-
-ExistenceResult SimContext::existence(const std::function<bool(const Node&)>& bit,
-                                      MessageTag tag) {
-  ExistenceResult res = ExistenceProtocol::run(
-      nodes_.size(), [&](NodeId i) { return bit(nodes_[i]); },
-      [&](NodeId i) { return nodes_[i].value(); }, rng_);
+ExistenceResult SimContext::existence_over(std::span<const NodeId> active,
+                                           MessageTag tag) {
+  ExistenceResult res =
+      ExistenceProtocol::run_active(nodes_.size(), active, node_value(), rng_);
   stats_.count(MessageKind::kNodeToServer, tag, res.messages);
   stats_.add_rounds(res.rounds);
   return res;
@@ -73,49 +65,11 @@ ExistenceResult SimContext::collect_violations() {
     stats_.add_rounds(res.rounds);
     return res;
   }
-  // The incremental bits make the node-side predicate one dense byte read.
-  ExistenceResult res = ExistenceProtocol::run(
-      nodes_.size(), [&](NodeId i) { return violating_[i] != 0; },
-      [&](NodeId i) { return nodes_[i].value(); }, rng_);
-  stats_.count(MessageKind::kNodeToServer, MessageTag::kViolation, res.messages);
-  stats_.add_rounds(res.rounds);
-  return res;
-}
-
-std::optional<SimContext::ProbeResult> SimContext::sample_max(
-    const std::function<bool(const Node&)>& pred) {
-  // Node-side bit: "I satisfy pred and I rank above the announced best".
-  return sample_max_over(
-      nodes_.size(),
-      [&](NodeId i, const std::optional<ProbeResult>& best) {
-        const Node& node = nodes_[i];
-        if (!pred(node)) return false;
-        if (!best) return true;
-        return ranks_above(node.value(), node.id(), best->value, best->id);
-      },
-      [&](NodeId i) { return nodes_[i].value(); }, stats_, rng_);
-}
-
-std::optional<SimContext::ProbeResult> SimContext::sample_max_over(
-    std::size_t n,
-    const std::function<bool(NodeId, const std::optional<ProbeResult>&)>& candidate,
-    const std::function<Value(NodeId)>& value, CommStats& stats, Rng& rng) {
-  std::optional<ProbeResult> best;
-  for (;;) {
-    auto res = ExistenceProtocol::run(
-        n, [&](NodeId i) { return candidate(i, best); }, value, rng);
-    stats.count(MessageKind::kNodeToServer, MessageTag::kProbe, res.messages);
-    stats.add_rounds(res.rounds);
-    if (!res.any) break;
-    for (const auto& hit : res.senders) {
-      if (!best || ranks_above(hit.value, hit.id, best->value, best->id)) {
-        best = ProbeResult{hit.id, hit.value};
-      }
-    }
-    // Announce the improved threshold so nodes at or below it deactivate.
-    stats.count(MessageKind::kBroadcast, MessageTag::kProbe);
-  }
-  return best;
+  // The incremental bits make the active list one vectorized byte scan.
+  const std::size_t active =
+      simd::collect_nonzero(violating_.data(), nodes_.size(), violators_.data());
+  TOPKMON_ASSERT(active == violating_count_);
+  return existence_over({violators_.data(), active}, MessageTag::kViolation);
 }
 
 std::vector<SimContext::ProbeResult> SimContext::probe_top(std::size_t m) {
@@ -125,14 +79,10 @@ std::vector<SimContext::ProbeResult> SimContext::probe_top(std::size_t m) {
     return probe_sharer_->top(m);
   }
   std::vector<ProbeResult> out;
-  scratch_.reset();
-  const std::span<std::uint8_t> excluded = scratch_.get<std::uint8_t>(nodes_.size());
-  std::fill(excluded.begin(), excluded.end(), std::uint8_t{0});
-  for (std::size_t j = 0; j < m; ++j) {
-    auto r = sample_max([&](const Node& node) { return excluded[node.id()] == 0; });
-    if (!r) break;
-    excluded[r->id] = 1;
-    out.push_back(*r);
+  pool_.resize(nodes_.size());
+  std::iota(pool_.begin(), pool_.end(), NodeId{0});
+  while (out.size() < m && probe_next_rank(nodes_.size(), pool_, active_, node_value(),
+                                           out, stats_, rng_)) {
   }
   return out;
 }

@@ -16,9 +16,15 @@
 //   collect_violations() existence over "my filter is violated"
 //   sample_max(pred)     Lemma 2.6, O(log n) messages in expectation
 //   probe_top(m)         m × sample_max with exclusion, O(m log n)
+//
+// Node-side predicates and filter rules are typed (template) callables,
+// evaluated once per node per primitive call to build the run's active
+// list (protocols/existence.hpp); repeated runs inside one primitive —
+// sample_max's threshold loop, enumerate_nodes — shrink that list in place
+// instead of re-evaluating the predicate over the fleet.
 #pragma once
 
-#include <functional>
+#include <algorithm>
 #include <optional>
 #include <span>
 #include <vector>
@@ -29,7 +35,6 @@
 #include "sim/comm_stats.hpp"
 #include "sim/node.hpp"
 #include "telemetry/profiler.hpp"
-#include "util/arena.hpp"
 #include "util/rng.hpp"
 
 namespace topkmon {
@@ -96,14 +101,39 @@ class SimContext {
   void broadcast(MessageTag tag = MessageTag::kOther);
 
   /// Server broadcasts a *rule*; every node derives its filter from it
-  /// locally (1 broadcast message total). The rule may depend only on
-  /// node-public state (its role previously communicated, its id).
-  void broadcast_filters(const std::function<Filter(const Node&)>& rule,
-                         MessageTag tag = MessageTag::kFilterBroadcast);
+  /// locally (1 broadcast message total). The rule — a callable
+  /// `Filter(const Node&)` — may depend only on node-public state (its role
+  /// previously communicated, its id).
+  template <class Rule>
+  void broadcast_filters(Rule&& rule, MessageTag tag = MessageTag::kFilterBroadcast) {
+    stats_.count(MessageKind::kBroadcast, tag);
+    for (const Node& node : nodes_) {
+      install_filter(node.id(), rule(node));
+    }
+  }
 
-  /// Lemma 3.1 EXISTENCE over the node-side predicate `bit`.
-  ExistenceResult existence(const std::function<bool(const Node&)>& bit,
-                            MessageTag tag = MessageTag::kExistence);
+  /// Node-side selection (free): replaces `out` with the ids of the nodes
+  /// satisfying `pred` (a callable `bool(const Node&)`), ascending.
+  template <class Pred>
+  void select_nodes(Pred&& pred, std::vector<NodeId>& out) const {
+    out.clear();
+    for (const Node& node : nodes_) {
+      if (pred(node)) out.push_back(node.id());
+    }
+  }
+
+  /// Lemma 3.1 EXISTENCE over the node-side predicate `bit` (a callable
+  /// `bool(const Node&)`).
+  template <class Bit>
+  ExistenceResult existence(Bit&& bit, MessageTag tag = MessageTag::kExistence) {
+    select_nodes(bit, active_);
+    return existence_over(active_, tag);
+  }
+
+  /// EXISTENCE whose active nodes are `active` (ascending ids): the run
+  /// `existence` performs once the node-side bits are known.
+  ExistenceResult existence_over(std::span<const NodeId> active,
+                                 MessageTag tag = MessageTag::kExistence);
 
   /// EXISTENCE over "node observes a filter violation" (Corollary 3.2).
   /// Senders attach their value; the server additionally learns the
@@ -121,18 +151,63 @@ class SimContext {
   using ProbeResult = ::topkmon::ProbeResult;
 
   /// Lemma 2.6: the node holding the maximum (value, id-tiebreak) among
-  /// nodes satisfying `pred`; nullopt if none. O(log n) messages expected.
-  std::optional<ProbeResult> sample_max(const std::function<bool(const Node&)>& pred);
+  /// nodes satisfying `pred` (a callable `bool(const Node&)`); nullopt if
+  /// none. O(log n) messages expected.
+  template <class Pred>
+  std::optional<ProbeResult> sample_max(Pred&& pred) {
+    select_nodes(pred, active_);
+    return sample_max_over(nodes_.size(), active_, node_value(), stats_, rng_);
+  }
 
-  /// The core Lemma 2.6 threshold-sampling loop, shared by sample_max and
-  /// the engine's SharedProbe so both book identical costs: existence sends
-  /// as node→server kProbe messages (+rounds), one kProbe broadcast per
-  /// improvement. `candidate(i, best)` is the node-side activity bit given
-  /// the announced best-so-far.
-  static std::optional<ProbeResult> sample_max_over(
-      std::size_t n,
-      const std::function<bool(NodeId, const std::optional<ProbeResult>&)>& candidate,
-      const std::function<Value(NodeId)>& value, CommStats& stats, Rng& rng);
+  /// The core Lemma 2.6 threshold-sampling loop, shared by sample_max, the
+  /// engine's SharedProbe and the standalone sampling protocols so all book
+  /// identical costs: existence sends as node→server kProbe messages
+  /// (+rounds), one kProbe broadcast per improvement. `active` holds the
+  /// candidates (ascending ids < n); after each improvement the nodes at or
+  /// below the announced best deactivate, so the list is filtered in place
+  /// and keeps its order. `value(i)` is node i's value.
+  template <class ValueOf>
+  static std::optional<ProbeResult> sample_max_over(std::size_t n,
+                                                    std::vector<NodeId>& active,
+                                                    ValueOf&& value, CommStats& stats,
+                                                    Rng& rng) {
+    std::optional<ProbeResult> best;
+    for (;;) {
+      const ExistenceResult res = ExistenceProtocol::run_active(n, active, value, rng);
+      stats.count(MessageKind::kNodeToServer, MessageTag::kProbe, res.messages);
+      stats.add_rounds(res.rounds);
+      if (!res.any) break;
+      for (const auto& hit : res.senders) {
+        if (!best || ranks_above(hit.value, hit.id, best->value, best->id)) {
+          best = ProbeResult{hit.id, hit.value};
+        }
+      }
+      // Announce the improved threshold so nodes at or below it deactivate.
+      stats.count(MessageKind::kBroadcast, MessageTag::kProbe);
+      const ProbeResult bar = *best;
+      std::erase_if(active, [&](NodeId i) {
+        return !ranks_above(value(i), i, bar.value, bar.id);
+      });
+    }
+    return best;
+  }
+
+  /// Appends the next rank of a repeated sample_max with exclusion: the
+  /// maximum over `pool` (ascending ids < n, the not-yet-ranked nodes),
+  /// which then leaves the pool. `active` is scratch. False, with nothing
+  /// appended, once the pool is empty. Shared by probe_top and SharedProbe.
+  template <class ValueOf>
+  static bool probe_next_rank(std::size_t n, std::vector<NodeId>& pool,
+                              std::vector<NodeId>& active, ValueOf&& value,
+                              std::vector<ProbeResult>& ranked, CommStats& stats,
+                              Rng& rng) {
+    active.assign(pool.begin(), pool.end());
+    const std::optional<ProbeResult> best = sample_max_over(n, active, value, stats, rng);
+    if (!best) return false;
+    pool.erase(std::lower_bound(pool.begin(), pool.end(), best->id));
+    ranked.push_back(*best);
+    return true;
+  }
 
   /// Top-m nodes overall by repeated sample_max with exclusion; descending
   /// rank order. O(m log n) messages expected.
@@ -203,6 +278,11 @@ class SimContext {
     filter_dirty_ids_.clear();
   }
 
+  /// Node i's current value, as the payload senders attach.
+  auto node_value() const {
+    return [this](NodeId i) { return nodes_[i].value(); };
+  }
+
   /// Re-derives node i's violation bit after a filter or value write.
   void refresh_violation(NodeId i) {
     const std::uint8_t now = nodes_[i].violating() ? 1 : 0;
@@ -219,19 +299,21 @@ class SimContext {
   ProbeSharer* probe_sharer_ = nullptr;
   telemetry::StepProfiler* profiler_ = nullptr;
   /// SoA violation bits, kept in sync with every observe / filter write so
-  /// the per-step violation sweep reads a dense byte array instead of
-  /// re-evaluating filters through two std::function hops per node. The
+  /// the per-step violation sweep builds its active list with one
+  /// vectorized byte scan instead of re-evaluating every node's filter. The
   /// bits are recomputed each advance_time by one vectorized filter-bound
   /// pass (util/simd.hpp) over the SoA bound mirrors below — bit-identical
   /// to Filter::check per node.
   std::vector<std::uint8_t> violating_;
+  std::vector<NodeId> violators_;  ///< collect_violations' active list (size n)
   std::vector<double> filter_lo_;  ///< SoA mirror of nodes_[i].filter().lo
   std::vector<double> filter_hi_;  ///< SoA mirror of nodes_[i].filter().hi
   std::size_t violating_count_ = 0;
   bool track_filters_ = false;  ///< dirty-filter tracking armed (net runtime)
   std::vector<std::uint8_t> filter_dirty_mark_;  ///< per-node dedup bits
   std::vector<NodeId> filter_dirty_ids_;         ///< ids installed this step
-  ScratchArena scratch_;  ///< per-step scratch (probe exclusion flags)
+  std::vector<NodeId> active_;  ///< existence / sample_max / probe_top active list
+  std::vector<NodeId> pool_;    ///< probe_top's not-yet-ranked nodes
 };
 
 }  // namespace topkmon

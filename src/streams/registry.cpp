@@ -1,6 +1,7 @@
 #include "streams/registry.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "streams/lb_adversary.hpp"
 #include "streams/oscillating.hpp"
@@ -64,6 +65,16 @@ std::unique_ptr<StreamGenerator> make_stream(const StreamSpec& spec) {
     cfg.n = spec.n;
     cfg.k = spec.k;
     cfg.top = spec.delta;
+    // The climber must start at ≥ 2 and 64× below the anchors. Keep the
+    // default start where that holds; for a small Δ take the largest legal
+    // start instead.
+    if (cfg.top <= 64 * cfg.climber_start) {
+      if (cfg.top <= 64 * 2) {
+        throw std::runtime_error("phase_torture needs delta > 128, got " +
+                                 std::to_string(spec.delta));
+      }
+      cfg.climber_start = (cfg.top - 1) / 64;
+    }
     return std::make_unique<PhaseTortureStream>(cfg);
   }
   if (spec.kind == "trace_file") {

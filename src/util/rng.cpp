@@ -19,12 +19,6 @@ std::uint64_t splitmix_combine(std::uint64_t seed, std::uint64_t salt) {
   return splitmix64(s);
 }
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& word : s_) {
@@ -42,18 +36,6 @@ Rng Rng::derive(std::uint64_t seed, std::uint64_t stream_id) {
   sm ^= 0xd1342543de82ef95ULL * (stream_id + 1);
   const std::uint64_t b = splitmix64(sm);
   return Rng(a ^ rotl(b, 17) ^ (stream_id * 0x9e3779b97f4a7c15ULL));
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::below(std::uint64_t n) {
@@ -82,18 +64,7 @@ std::uint64_t Rng::uniform_u64(std::uint64_t lo, std::uint64_t hi) {
   return lo + below(span + 1);
 }
 
-double Rng::uniform01() {
-  // 53 top bits -> double in [0,1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform01(); }
-
-bool Rng::bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform01() < p;
-}
 
 double Rng::normal(double mean, double stddev) {
   // Box-Muller; u1 in (0,1] to avoid log(0).

@@ -31,7 +31,17 @@ class Rng {
   /// Independent generator for stream `stream_id` of a master `seed`.
   static Rng derive(std::uint64_t seed, std::uint64_t stream_id);
 
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// UniformRandomBitGenerator interface (usable with <random> adaptors).
   std::uint64_t operator()() { return next_u64(); }
@@ -44,14 +54,19 @@ class Rng {
   /// Uniform integer in [0, n) via Lemire rejection; requires n > 0.
   std::uint64_t below(std::uint64_t n);
 
-  /// Uniform double in [0, 1).
-  double uniform01();
+  /// Uniform double in [0, 1): the top 53 bits of one draw.
+  double uniform01() { return static_cast<double>(next_u64() >> 11) * 0x1.0p-53; }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
 
-  /// Bernoulli trial with success probability p (clamped to [0,1]).
-  bool bernoulli(double p);
+  /// Bernoulli trial with success probability p (clamped to [0,1]); draws
+  /// only when 0 < p < 1.
+  bool bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform01() < p;
+  }
 
   /// Standard normal via Box-Muller (no cached spare; stateless wrt pairs).
   double normal(double mean = 0.0, double stddev = 1.0);
@@ -62,6 +77,8 @@ class Rng {
   const std::array<std::uint64_t, 4>& state() const { return s_; }
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   std::array<std::uint64_t, 4> s_;
 };
 

@@ -36,6 +36,16 @@ std::size_t collect_diff(const Value* a, const Value* b, std::size_t n,
   return count;
 }
 
+std::size_t collect_nonzero(const std::uint8_t* mask, std::size_t n,
+                            std::uint32_t* out) {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    out[count] = static_cast<std::uint32_t>(i);
+    count += mask[i] != 0;
+  }
+  return count;
+}
+
 std::size_t violation_mask(const Value* values, const double* lo, const double* hi,
                            std::size_t n, std::uint8_t* out) {
   std::size_t count = 0;
@@ -163,6 +173,28 @@ std::size_t collect_diff(const Value* a, const Value* b, std::size_t n,
   return count;
 }
 
+std::size_t collect_nonzero(const std::uint8_t* mask, std::size_t n,
+                            std::uint32_t* out) {
+  const __m128i zero = _mm_setzero_si128();
+  std::size_t count = 0;
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(mask + i));
+    const int zeros = _mm_movemask_epi8(_mm_cmpeq_epi8(x, zero));
+    unsigned set = ~static_cast<unsigned>(zeros) & 0xFFFFu;
+    while (set != 0) {
+      const auto lane = static_cast<std::size_t>(__builtin_ctz(set));
+      out[count++] = static_cast<std::uint32_t>(i + lane);
+      set &= set - 1;
+    }
+  }
+  for (; i < n; ++i) {
+    out[count] = static_cast<std::uint32_t>(i);
+    count += mask[i] != 0;
+  }
+  return count;
+}
+
 std::size_t violation_mask(const Value* values, const double* lo, const double* hi,
                            std::size_t n, std::uint8_t* out) {
   // Exact u64 → f64 for values < 2^52: OR in the 2^52 exponent bits and
@@ -274,6 +306,28 @@ TOPKMON_AVX2 std::size_t collect_diff(const Value* a, const Value* b, std::size_
   for (; i < n; ++i) {
     out[count] = static_cast<std::uint32_t>(i);
     count += a[i] != b[i];
+  }
+  return count;
+}
+
+TOPKMON_AVX2 std::size_t collect_nonzero(const std::uint8_t* mask, std::size_t n,
+                                         std::uint32_t* out) {
+  const __m256i zero = _mm256_setzero_si256();
+  std::size_t count = 0;
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask + i));
+    const int zeros = _mm256_movemask_epi8(_mm256_cmpeq_epi8(x, zero));
+    unsigned set = ~static_cast<unsigned>(zeros);
+    while (set != 0) {
+      const auto lane = static_cast<std::size_t>(__builtin_ctz(set));
+      out[count++] = static_cast<std::uint32_t>(i + lane);
+      set &= set - 1;
+    }
+  }
+  for (; i < n; ++i) {
+    out[count] = static_cast<std::uint32_t>(i);
+    count += mask[i] != 0;
   }
   return count;
 }
@@ -491,6 +545,7 @@ struct Impl {
   const char* name;
   std::size_t (*count_diff)(const Value*, const Value*, std::size_t);
   std::size_t (*collect_diff)(const Value*, const Value*, std::size_t, std::uint32_t*);
+  std::size_t (*collect_nonzero)(const std::uint8_t*, std::size_t, std::uint32_t*);
   std::size_t (*violation_mask)(const Value*, const double*, const double*,
                                 std::size_t, std::uint8_t*);
   void (*max_merge)(Value*, const Value*, std::size_t);
@@ -504,7 +559,7 @@ struct Impl {
 };
 
 constexpr Impl kScalarImpl = {
-    "scalar",          scalar::count_diff, scalar::collect_diff,
+    "scalar",          scalar::count_diff, scalar::collect_diff, scalar::collect_nonzero,
     scalar::violation_mask, scalar::max_merge,  scalar::max_value,
     scalar::min_value, scalar::count_lt,   scalar::count_eq_u32,
     scalar::count_ge,  scalar::count_f64_ge, scalar::count_scaled_gt,
@@ -514,7 +569,7 @@ const Impl& select_impl() {
 #if defined(TOPKMON_SIMD_X86)
   if (__builtin_cpu_supports("avx2")) {
     static constexpr Impl kAvx2 = {
-        "avx2",          avx2::count_diff, avx2::collect_diff,
+        "avx2",          avx2::count_diff, avx2::collect_diff, avx2::collect_nonzero,
         avx2::violation_mask, avx2::max_merge,  avx2::max_value,
         avx2::min_value, avx2::count_lt,   avx2::count_eq_u32,
         avx2::count_ge,  avx2::count_f64_ge, avx2::count_scaled_gt,
@@ -522,7 +577,7 @@ const Impl& select_impl() {
     return kAvx2;
   }
   static constexpr Impl kSse2 = {
-      "sse2",            sse2::count_diff, sse2::collect_diff,
+      "sse2",            sse2::count_diff, sse2::collect_diff, sse2::collect_nonzero,
       sse2::violation_mask,   scalar::max_merge, scalar::max_value,
       scalar::min_value, scalar::count_lt, sse2::count_eq_u32,
       scalar::count_ge,  sse2::count_f64_ge, sse2::count_scaled_gt,
@@ -530,7 +585,7 @@ const Impl& select_impl() {
   return kSse2;
 #elif defined(TOPKMON_SIMD_NEON)
   static constexpr Impl kNeon = {
-      "neon",            neon::count_diff, scalar::collect_diff,
+      "neon",            neon::count_diff, scalar::collect_diff, scalar::collect_nonzero,
       neon::violation_mask,   neon::max_merge,  scalar::max_value,
       scalar::min_value, scalar::count_lt, scalar::count_eq_u32,
       scalar::count_ge,  scalar::count_f64_ge, scalar::count_scaled_gt,
@@ -557,6 +612,11 @@ std::size_t count_diff(const Value* a, const Value* b, std::size_t n) {
 std::size_t collect_diff(const Value* a, const Value* b, std::size_t n,
                          std::uint32_t* out) {
   return impl().collect_diff(a, b, n, out);
+}
+
+std::size_t collect_nonzero(const std::uint8_t* mask, std::size_t n,
+                            std::uint32_t* out) {
+  return impl().collect_nonzero(mask, n, out);
 }
 
 std::size_t violation_mask(const Value* values, const double* lo, const double* hi,

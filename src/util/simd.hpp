@@ -46,6 +46,12 @@ std::size_t count_diff(const Value* a, const Value* b, std::size_t n);
 std::size_t collect_diff(const Value* a, const Value* b, std::size_t n,
                          std::uint32_t* out);
 
+/// Writes the indices i with mask[i] != 0 into `out` (caller guarantees
+/// room for n entries) and returns how many were written, ascending — the
+/// violation sweep's active list from the per-node violation bytes.
+std::size_t collect_nonzero(const std::uint8_t* mask, std::size_t n,
+                            std::uint32_t* out);
+
 /// Per-lane filter-bound violation mask over SoA bounds: out[i] = 1 iff
 /// (double)v[i] > hi[i] or (double)v[i] < lo[i], else 0. Returns the number
 /// of violating lanes. Values must be ≤ kMaxObservableValue (2^48), so the

@@ -9,12 +9,15 @@
 //       certificates exceed z; V3 analogously below (1−ε)z — checked
 //       indirectly: a V1 node's filter keeps lo ≥ ℓ_r, a V3 node's filter
 //       keeps hi ≤ u_r-like bounds.
+// And, after EVERY handled violation, the knowledge counters kept over the
+// member lists equal a rescan of all n nodes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 
 #include "protocols/combined.hpp"
+#include "protocols/generic_framework.hpp"
 #include "sim/simulator.hpp"
 #include "streams/oscillating.hpp"
 #include "streams/trace_file.hpp"
@@ -143,6 +146,117 @@ TEST(DenseInvariants, SubIntervalNestsUnderFlipFlop) {
     sim.step();
     check_invariants(*proto, sim.context());
   }
+}
+
+
+// ---- list-based counters vs a full rescan ---------------------------------
+
+/// The [D1] counters recomputed from the per-node state of all n nodes.
+void expect_counters_match_rescan(const DenseComponent& d, std::size_t n) {
+  std::size_t above = 0, below = 0, sub_above = 0, sub_below = 0;
+  for (NodeId i = 0; i < n; ++i) {
+    const double r = d.last_report(i);
+    switch (d.role(i)) {
+      case DenseComponent::Role::kV1:
+        ++above;
+        ++sub_above;
+        break;
+      case DenseComponent::Role::kV3:
+        ++below;
+        ++sub_below;
+        break;
+      case DenseComponent::Role::kV2:
+        if (d.in_s1(i) && r > d.ur()) ++above;
+        if (d.in_s2(i) && r >= 0.0 && r < d.lr()) ++below;
+        if (d.in_sp1(i) && r > d.sub_ur()) ++sub_above;
+        if (d.in_sp2(i) && r >= 0.0 && r < d.lr()) ++sub_below;
+        break;
+    }
+  }
+  EXPECT_EQ(d.count_above_ur(), above);
+  EXPECT_EQ(d.count_below_lr(), below);
+  EXPECT_EQ(d.sub_count_above(), sub_above);
+  EXPECT_EQ(d.sub_count_below(), sub_below);
+}
+
+/// CombinedMonitor's mode switching, with the dense counters checked against
+/// a rescan after every violation the dense component handles.
+class RescanCheckedMonitor final : public MonitoringProtocol {
+ public:
+  void start(SimContext& ctx) override {
+    restart(ctx);
+    on_step(ctx);
+  }
+
+  void on_step(SimContext& ctx) override {
+    drain_violations(ctx, [&](NodeId id, Value value, Violation side) {
+      if (!dense_mode_) {
+        if (topk_.handle_violation(ctx, id, value, side)) restart(ctx);
+        return;
+      }
+      const auto outcome = dense_.handle_violation(ctx, id, value, side);
+      ++checked_;
+      if (dense_.sub_active()) ++checked_in_sub_;
+      expect_counters_match_rescan(dense_, ctx.n());
+      if (outcome != DenseComponent::Outcome::kRunning) restart(ctx);
+    });
+  }
+
+  const OutputSet& output() const override {
+    return dense_mode_ ? dense_.output() : topk_.output();
+  }
+  std::string_view name() const override { return "rescan_checked_combined"; }
+
+  std::uint64_t checked() const { return checked_; }
+  std::uint64_t checked_in_sub() const { return checked_in_sub_; }
+
+ private:
+  void restart(SimContext& ctx) {
+    for (int attempt = 0; attempt < 64; ++attempt) {
+      const ProbeInfo info = probe_top_k_plus_1(ctx);
+      dense_mode_ = static_cast<double>(info.vk1) >=
+                    (1.0 - ctx.epsilon()) * static_cast<double>(info.vk);
+      if (!dense_mode_) {
+        topk_.begin_from_probe(ctx, info);
+        return;
+      }
+      const auto outcome = dense_.begin(ctx, info);
+      expect_counters_match_rescan(dense_, ctx.n());
+      if (outcome == DenseComponent::Outcome::kRunning) return;
+    }
+    FAIL() << "could not (re)initialize";
+  }
+
+  bool dense_mode_ = false;
+  TopKComponent topk_;
+  DenseComponent dense_;
+  std::uint64_t checked_ = 0;
+  std::uint64_t checked_in_sub_ = 0;
+};
+
+TEST_P(DenseInvariants, ListCountersMatchRescanAfterEveryViolation) {
+  OscillatingConfig osc;
+  osc.n = 64;
+  osc.k = 4;
+  osc.epsilon = 0.15;
+  osc.sigma = 24;
+  osc.drift = 0.03;
+  auto protocol = std::make_unique<RescanCheckedMonitor>();
+  auto* proto = protocol.get();
+  SimConfig cfg;
+  cfg.k = 4;
+  cfg.epsilon = 0.15;
+  cfg.seed = GetParam();
+  cfg.strict = true;
+  Simulator sim(cfg, std::make_unique<OscillatingStream>(osc), std::move(protocol));
+  for (int t = 0; t < 400; ++t) {
+    sim.step();
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "counter mismatch at t=" << t << " (seed " << GetParam() << ")";
+    }
+  }
+  EXPECT_GT(proto->checked(), 100u) << "the workload must drive dense violations";
+  EXPECT_GT(proto->checked_in_sub(), 0u) << "the workload must reach the subprotocol";
 }
 
 }  // namespace

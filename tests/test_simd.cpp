@@ -60,6 +60,30 @@ TEST(Simd, CountAndCollectDiffMatchScalar) {
   }
 }
 
+TEST(Simd, CollectNonzeroMatchesScalar) {
+  Rng rng(9);
+  for (const std::size_t n : kSizes) {
+    for (int rep = 0; rep < 20; ++rep) {
+      // Densities from empty to full; set bytes are arbitrary non-zero values.
+      const std::uint64_t one_in = 1 + static_cast<std::uint64_t>(rep % 5) * 3;
+      std::vector<std::uint8_t> mask(n);
+      std::vector<std::uint32_t> expected;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (rep > 0 && rng.below(one_in) == 0) {
+          mask[i] = static_cast<std::uint8_t>(1 + rng.below(255));
+        }
+        if (mask[i] != 0) expected.push_back(static_cast<std::uint32_t>(i));
+      }
+      std::vector<std::uint32_t> out(n + 1, 0xDEAD);
+      const std::size_t got = simd::collect_nonzero(mask.data(), n, out.data());
+      ASSERT_EQ(got, expected.size());
+      for (std::size_t j = 0; j < got; ++j) {
+        EXPECT_EQ(out[j], expected[j]) << "set index " << j;
+      }
+    }
+  }
+}
+
 TEST(Simd, ViolationMaskMatchesFilterCheck) {
   Rng rng(2);
   const double inf = std::numeric_limits<double>::infinity();

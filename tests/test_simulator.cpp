@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "faults/registry.hpp"
 #include "protocols/registry.hpp"
 #include "streams/registry.hpp"
 
@@ -86,6 +87,46 @@ TEST(RunResult, TagsSumToTotal) {
   std::uint64_t tag_sum = 0;
   for (const auto t : r.by_tag) tag_sum += t;
   EXPECT_EQ(tag_sum, r.messages);
+}
+
+
+// Pins the exact cost of membership recovery under churn: every recovery
+// re-probes and re-enumerates the fleet through EXISTENCE, so a change in
+// the draw order of any primitive moves these numbers. The values were
+// recorded with the predicate-per-run implementation of the primitives and
+// must not change with how the primitives are simulated.
+TEST(Simulator, ChurnRecoveryCountersPinned) {
+  StreamSpec spec;
+  spec.kind = "random_walk";
+  spec.n = 4096;
+  spec.k = 8;
+  spec.epsilon = 0.1;
+  SimConfig cfg;
+  cfg.k = 8;
+  cfg.epsilon = 0.1;
+  cfg.seed = 1;
+  FaultConfig faults = fault_preset("churn");
+  faults.horizon = 200;
+  faults.seed = 1;
+  cfg.faults = make_fleet_schedule(faults, spec.n);
+  Simulator sim(cfg, make_stream(spec), make_protocol("combined"));
+  sim.run(200);
+
+  const CommStats& stats = sim.context().stats();
+  EXPECT_EQ(stats.by_tag(MessageTag::kExistence), 0u);
+  EXPECT_EQ(stats.by_tag(MessageTag::kViolation), 1444u);
+  EXPECT_EQ(stats.by_tag(MessageTag::kProbe), 2827u);
+  EXPECT_EQ(stats.by_tag(MessageTag::kFilterBroadcast), 5u);
+  EXPECT_EQ(stats.by_tag(MessageTag::kFilterUnicast), 0u);
+  EXPECT_EQ(stats.by_tag(MessageTag::kOther), 5u);
+  EXPECT_EQ(stats.total(), 4281u);
+  EXPECT_EQ(stats.total_rounds(), 17147u);
+  EXPECT_EQ(stats.recovery_rounds(), 4u);
+  EXPECT_EQ(sim.protocol().output(), (OutputSet{4, 9, 14, 31, 72, 94, 148, 160}));
+  const std::array<std::uint64_t, 4> rng_state = {
+      0x71398efc4cd11174ULL, 0xb86c8fab78d0dfabULL, 0xa16a1dc671c3c5f6ULL,
+      0x0bb8ef180ca5ee50ULL};
+  EXPECT_EQ(sim.context().rng().state(), rng_state);
 }
 
 }  // namespace

@@ -98,6 +98,26 @@ TEST(StreamRegistry, UnknownKindThrows) {
   EXPECT_THROW(make_stream(spec), std::runtime_error);
 }
 
+TEST(StreamRegistry, PhaseTortureDerivesLegalClimberForSmallDelta) {
+  StreamSpec spec;
+  spec.kind = "phase_torture";
+  spec.n = 8;
+  spec.k = 2;
+  const auto climber = [&](Value delta) {
+    spec.delta = delta;
+    const auto g = make_stream(spec);
+    return dynamic_cast<const PhaseTortureStream&>(*g).config().climber_start;
+  };
+  EXPECT_EQ(climber(Value{1} << 16), 4u);  // the default wherever it is legal
+  EXPECT_EQ(climber(257), 4u);
+  EXPECT_EQ(climber(256), 3u);  // 64·4 = Δ: the largest legal start instead
+  EXPECT_EQ(climber(129), 2u);
+  for (const Value delta : {Value{0}, Value{128}}) {  // no start ≥ 2 is legal
+    spec.delta = delta;
+    EXPECT_THROW(make_stream(spec), std::runtime_error) << delta;
+  }
+}
+
 TEST(StreamRegistry, KindListMatchesFactories) {
   for (const auto& kind : stream_kinds()) {
     if (kind == "trace_file") continue;  // needs a file
