@@ -1,7 +1,6 @@
 // Shared glue for the experiment-table binaries.
 #pragma once
 
-#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -11,21 +10,23 @@
 #include <string_view>
 #include <vector>
 
+#include "apps/options.hpp"
 #include "bench_support/runner.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/flags.hpp"
 #include "util/table.hpp"
 
 namespace topkmon::bench {
 
-/// Common CLI: --trials, --steps, --seed, --csv (emit CSV after the table),
-/// --json=<path> (append every emitted table to a machine-readable JSON
-/// file for the perf trajectory), --threads (sweep pool size; 0 = auto),
-/// --telemetry[=<path>] (attach the per-phase step profiler to every cell
-/// and write the telemetry JSON document — src/telemetry — at exit; the
-/// scoped timers run ONLY with this flag, keeping default bench runs
-/// perf-identical to a telemetry-less build). Any other flag is a typo: the
-/// bench prints it and exits 2 instead of silently running the defaults.
+/// Common CLI, declared through Options (apps/options.hpp): --trials,
+/// --steps, --seed, --csv (emit CSV after the table), --json=<path> (append
+/// every emitted table to a machine-readable JSON file for the perf
+/// trajectory), --threads (sweep pool size; 0 = auto), --telemetry[=<path>]
+/// (attach the per-phase step profiler to every cell and write the telemetry
+/// JSON document — src/telemetry — at exit; the scoped timers run ONLY with
+/// this flag, keeping default bench runs perf-identical to a telemetry-less
+/// build). --help prints the flags and exits 0. Any other flag, or a
+/// malformed number, is a typo: the bench names it and exits 2 instead of
+/// silently running the defaults.
 struct BenchArgs {
   std::size_t trials = 5;
   TimeStep steps = 600;
@@ -36,28 +37,20 @@ struct BenchArgs {
   std::string telemetry;  ///< telemetry JSON path; empty = off
 
   static BenchArgs parse(int argc, char** argv) {
-    Flags flags(argc, argv);
-    static constexpr std::string_view kKnown[] = {"trials", "steps",   "seed",
-                                                  "csv",    "json",    "threads",
-                                                  "telemetry"};
-    for (const std::string& given : flags.names()) {
-      if (std::find(std::begin(kKnown), std::end(kKnown), given) == std::end(kKnown)) {
-        std::cerr << flags.program() << ": unknown flag --" << given
-                  << " (known: --trials --steps --seed --csv --json --threads "
-                     "--telemetry)\n";
-        std::exit(2);
-      }
-    }
     BenchArgs a;
-    a.trials = flags.get_uint("trials", a.trials);
-    a.steps = static_cast<TimeStep>(flags.get_uint("steps", a.steps));
-    a.seed = flags.get_uint("seed", a.seed);
-    a.csv = flags.get_bool("csv", false);
-    a.json = flags.get_string("json", "");
-    a.threads = flags.get_uint("threads", 0);
-    if (flags.has("telemetry")) {
-      const std::string v = flags.get_string("telemetry", "telemetry.json");
-      a.telemetry = (v.empty() || v == "true") ? "telemetry.json" : v;
+    Options opts(argc > 0 ? argv[0] : "bench", "experiment table");
+    opts.add_size("trials", &a.trials, "independent trials per cell");
+    opts.add_int("steps", &a.steps, "time steps per trial");
+    opts.add_uint("seed", &a.seed, "base seed");
+    opts.add_bool("csv", &a.csv, "also print each table as CSV");
+    opts.add_string("json", &a.json, "write every table to this JSON file");
+    opts.add_size("threads", &a.threads, "sweep pool size (0 = auto)");
+    opts.add_optional_path("telemetry", &a.telemetry, "telemetry.json",
+                           "profile every cell and write telemetry JSON");
+    switch (opts.parse(argc, argv)) {
+      case Options::ParseResult::kHelp: std::exit(0);
+      case Options::ParseResult::kError: std::exit(2);
+      case Options::ParseResult::kOk: break;
     }
     return a;
   }

@@ -4,7 +4,7 @@
 // Where bench_e13_hotpath measures the *quiescent* per-step overhead, this
 // table measures the regimes the paper actually studies — dense order churn
 // and Theorem 5.1-style oscillation — where every step pays the order
-// maintenance dense fallback (packed-key radix sort), the violation sweep,
+// maintenance dense fallback (value radix sort), the violation sweep,
 // and (on the osc cell) real protocol rounds. CI-gated twin rules:
 //
 //   * "query-steps/s"       — throughput, tolerance-gated; the n=16k churn

@@ -134,8 +134,8 @@ BENCHMARK(BM_HotPathStep)
 
 // The churn path over the shared churn cell grid (bench_e14_churn's twin):
 // dense value churn, scattered large-displacement updates, and adversarial
-// oscillation. The vectorized step kernel — diff scan, scan-mode σ, packed-
-// key radix rebuilds, violation sweep — is what keeps these steps
+// oscillation. The vectorized step kernel — diff scan, scan-mode σ, value
+// radix rebuilds, violation sweep — is what keeps these steps
 // bandwidth-bound. Args: n, kind (0 = churn, 1 = sparse, 2 = osc).
 void BM_ChurnPathStep(benchmark::State& state) {
   bench::ChurnCell cell;

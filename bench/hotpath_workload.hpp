@@ -86,12 +86,12 @@ inline std::string hotpath_workload_name(const HotPathCell& cell) {
 //
 //   * churn  — every band node redraws its value every step. The order
 //     maintenance diff finds ~n changed nodes, so each step takes the dense
-//     fallback (the sort the packed-key radix path replaces), while the
-//     protocol stays communication-quiescent — the cell isolates the local
-//     step cost under maximal value churn.
+//     fallback (scan-mode σ; a value radix sort only if the order is read),
+//     while the protocol stays communication-quiescent — the cell isolates
+//     the local step cost under maximal value churn.
 //   * sparse — one rotating residue class (n/16 nodes) redraws per cycle
 //     vector, so consecutive steps differ in two classes (~n/8 nodes, at
-//     the rebuild threshold but not over it): the repair path engages,
+//     the rebuild threshold but not over it): the splice path engages,
 //     burns its move budget on the scattered large displacements, and
 //     bails into scan mode — the cell pins that bail (the exact-gated
 //     repairs/rebuilds columns show a handful of repairs, one rebuild).

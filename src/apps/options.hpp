@@ -4,11 +4,11 @@
 // surface (stream knobs, fault knobs, telemetry paths, output toggles) with
 // copy-pasted helpers and no --help beyond `--list`. Options binds each flag
 // name to a field once — parse applies every binding, auto-generates the
-// --help text from the declarations, and rejects unknown flags instead of
-// silently ignoring typos. All four binaries (topk_sim, topk_engine,
-// topk_coord, topk_node) declare their surface through the shared groups
-// below, so --faults / --window / --telemetry / --json mean the same thing
-// everywhere.
+// --help text from the declarations, and rejects unknown flags and
+// malformed numbers instead of silently ignoring them. All four binaries
+// (topk_sim, topk_engine, topk_coord, topk_node) and the bench_e* tables
+// (bench/bench_common.hpp) declare their surface through this class, so
+// --faults / --window / --telemetry / --json mean the same thing everywhere.
 //
 // Usage:
 //   StreamSpec spec;            // caller presets per-binary defaults
@@ -111,7 +111,12 @@ class Options {
         return ParseResult::kError;
       }
     }
-    for (const Bind& b : binds_) apply(b);
+    try {
+      for (const Bind& b : binds_) apply(b);
+    } catch (const std::invalid_argument& e) {  // malformed numeric value
+      out << program_ << ": " << e.what() << "\n";
+      return ParseResult::kError;
+    }
     return ParseResult::kOk;
   }
 

@@ -138,11 +138,11 @@ int main(int argc, char** argv) {
     case Options::ParseResult::kOk: break;
   }
   finalize_stream_options(opts, spec.stream, 2);
-  spec.protocol_epsilon =
-      opts.flags().get_double("protocol-eps", spec.stream.epsilon);
   spec.steps = static_cast<TimeStep>(steps_flag);
 
   try {
+    spec.protocol_epsilon =
+        opts.flags().get_double("protocol-eps", spec.stream.epsilon);
     // One --query spec overrides the flat protocol/k/ε/window/bound flags —
     // the declarative syntax shared with topk_sim/topk_engine. The RunSpec
     // carries everything to the node-hosts, threshold included.

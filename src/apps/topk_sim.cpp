@@ -85,11 +85,11 @@ int main(int argc, char** argv) {
   }
   finalize_stream_options(opts, spec, 2);
   cfg.k = spec.k;
-  cfg.epsilon = opts.flags().get_double("protocol-eps", spec.epsilon);
   cfg.record_history = opt_kind != "none" || !dump_trace.empty();
   const TimeStep steps = static_cast<TimeStep>(steps_flag);
 
   try {
+    cfg.epsilon = opts.flags().get_double("protocol-eps", spec.epsilon);
     // One --query spec overrides the flat protocol/k/ε/window/bound flags —
     // the declarative syntax shared with topk_engine/topk_coord.
     if (const std::optional<QuerySpec> q = single_query_option(opts.flags())) {

@@ -27,13 +27,13 @@ void StepSnapshot::begin_step(TimeStep t, const ValueVector& values) {
       if (!v->fleet) {
         v->fleet = std::make_unique<FleetState>(n_, kInfiniteWindow);
       }
-      v->order = &v->fleet->value_order();
+      v->order = &v->fleet->order();
     }
   }
   for (auto& v : views_) {
     WindowedValueModel* wm = v->fleet->window();
     v->values = wm ? &wm->push(t, values) : &values;
-    // Incremental repair replaces the former per-step assign + full sort;
+    // Incremental splicing replaces the former per-step assign + full sort;
     // quiescent steps cost one diff pass per distinct window.
     v->order->update(*v->values);
     v->sigma_cache.clear();

@@ -5,14 +5,15 @@
 // sliding-window queries (src/model/window.hpp) the snapshot carries one
 // *view* per distinct window length W registered before the first step. A
 // view owns a FleetState: the per-node window maxima rings (maintained once
-// per step — not once per query), the incremental TopKOrder that replaces
-// the former per-step descending sort, and σ(t) per distinct (k, ε) — the
+// per step — not once per query), the incremental value order (TopKOrder —
+// the same class the standalone Simulator's σ path keeps) that replaces the
+// former per-step descending sort, and σ(t) per distinct (k, ε) — the
 // validator-side quantity every query's Simulator tracks, which standalone
 // costs an O(n log n) sort + allocations per query per step. The
 // W = kInfiniteWindow view borrows the raw snapshot untouched. All cached
 // quantities are pure functions of the snapshot (no randomness), so sharing
 // is exact and schedule-independent. Steady-state begin_step allocates
-// nothing: view buffers are preallocated and the order repairs in place.
+// nothing: view buffers are preallocated and the order splices in place.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +53,7 @@ class StepSnapshot {
       std::size_t sigma;
     };
     std::vector<SigmaEntry> sigma_cache;  ///< few distinct (k, ε); linear scan
-    SortedValues* order = nullptr;        ///< set once n is known (first step)
+    TopKOrder* order = nullptr;           ///< set once n is known (first step)
   };
 
   StepSnapshot();

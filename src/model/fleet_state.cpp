@@ -18,11 +18,4 @@ TopKOrder& FleetState::order() {
   return *order_;
 }
 
-SortedValues& FleetState::value_order() {
-  if (!value_order_) {
-    value_order_ = std::make_unique<SortedValues>(n());
-  }
-  return *value_order_;
-}
-
 }  // namespace topkmon

@@ -3,13 +3,13 @@
 // A FleetPipeline step (model/fleet_pipeline.hpp) needs, per fleet: a staging
 // buffer for the generator's raw vector, an effective-value buffer for the
 // fault injector's rewrite, per-node fault flags, and the sliding-window
-// maxima (when windowed); a σ path needs the incremental rank order that
+// maxima (when windowed); a σ path needs the incremental value order that
 // answers v_π(k,t) and σ(t). FleetState owns all of them as contiguous
 // buffers allocated once, so per-step work writes in place instead of
 // constructing vectors — the zero-allocation invariant of the steady-state
 // step (see util/alloc_counter.hpp) hangs off this class.
 //
-// Layout is SoA: values, flags, window rings, and rank arrays are separate
+// Layout is SoA: values, flags, window rings, and sorted values are separate
 // flat arrays rather than per-node structs, keeping the per-step passes
 // (diff scan, window roll, violation check) on dense cache lines.
 //
@@ -75,17 +75,11 @@ class FleetState {
   WindowedValueModel* window() { return window_.get(); }
   const WindowedValueModel* window() const { return window_.get(); }
 
-  /// Incremental rank order (with node identities) over the fleet's current
-  /// monitored values; created on first use (one allocation, then
-  /// allocation-free). The standalone Simulator's σ path.
+  /// Incremental value order over the fleet's current monitored values —
+  /// the σ(t) path of the standalone Simulator and of each engine snapshot
+  /// view. Created on first use (one allocation, then allocation-free).
   TopKOrder& order();
   const TopKOrder* order_if_ready() const { return order_.get(); }
-
-  /// Incremental value-only order — the engine snapshot's σ path, where
-  /// rank identities are not needed and dense updates must cost no more
-  /// than the plain sort they replace. Created on first use.
-  SortedValues& value_order();
-  const SortedValues* value_order_if_ready() const { return value_order_.get(); }
 
  private:
   std::size_t n_;
@@ -94,7 +88,6 @@ class FleetState {
   std::vector<std::uint8_t> flags_;  ///< lazily sized
   std::unique_ptr<WindowedValueModel> window_;
   std::unique_ptr<TopKOrder> order_;
-  std::unique_ptr<SortedValues> value_order_;
 };
 
 }  // namespace topkmon

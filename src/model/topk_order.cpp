@@ -5,18 +5,16 @@
 
 #include "model/oracle.hpp"
 #include "util/assert.hpp"
-#include "util/packed_key.hpp"
 #include "util/simd.hpp"
 
 namespace topkmon {
 
-SortedValues::SortedValues(std::size_t n)
-    : shadow_(n, 0), sorted_desc_(n, 0), dirty_(n, 0) {
+TopKOrder::TopKOrder(std::size_t n)
+    : shadow_(n, 0), sorted_desc_(n, 0), radix_(n), dirty_(n, 0) {
   TOPKMON_ASSERT(n > 0);
 }
 
-std::size_t SortedValues::splice(Value old_value, Value new_value) {
-  if (old_value == new_value) return 0;
+std::size_t TopKOrder::splice(Value old_value, Value new_value) {
   // First slot holding a value <= old_value: an occurrence of old_value.
   const auto rm = std::lower_bound(sorted_desc_.begin(), sorted_desc_.end(),
                                    old_value, std::greater<Value>());
@@ -26,153 +24,21 @@ std::size_t SortedValues::splice(Value old_value, Value new_value) {
                                       std::greater<Value>());
     std::move(rm + 1, ins, rm);  // close the gap leftward
     *(ins - 1) = new_value;
-    return static_cast<std::size_t>(ins - rm);
+    return static_cast<std::size_t>(ins - 1 - rm);
   }
   // New value moves toward the head.
   const auto ins = std::lower_bound(sorted_desc_.begin(), rm, new_value,
                                     std::greater<Value>());
   std::move_backward(ins, rm, rm + 1);  // open a gap rightward
   *ins = new_value;
-  return static_cast<std::size_t>(rm - ins) + 1;
-}
-
-void SortedValues::rebuild_sorted() const {
-  const std::size_t n = shadow_.size();
-  if (!radix_) {
-    radix_ = std::make_unique<RadixScratch>(n);
-  }
-  std::copy(shadow_.begin(), shadow_.end(), sorted_desc_.begin());
-  radix_sort_desc(sorted_desc_.data(), n, *radix_);
-  sorted_fresh_ = true;
-}
-
-void SortedValues::update(std::span<const Value> values) {
-  const std::size_t n = shadow_.size();
-  TOPKMON_ASSERT_MSG(values.size() == n, "observation vector sized for wrong fleet");
-  if (!ready_) {
-    std::copy(values.begin(), values.end(), shadow_.begin());
-    rebuild_sorted();
-    ready_ = true;
-    return;
-  }
-  const std::size_t changed = simd::count_diff(shadow_.data(), values.data(), n);
-  if (changed == 0) return;
-  if (static_cast<double>(changed) > kRebuildFraction * static_cast<double>(n)) {
-    // Churn storm: park the raw vector and defer the sort — σ(t) is served
-    // by exact partition scans until the order is actually demanded.
-    std::copy(values.begin(), values.end(), shadow_.begin());
-    sorted_fresh_ = false;
-    return;
-  }
-  if (!sorted_fresh_) {
-    std::copy(values.begin(), values.end(), shadow_.begin());
-    if (static_cast<double>(changed) <
-        kRepairResumeFraction * static_cast<double>(n)) {
-      // Churn subsided for real: one rebuild re-arms incremental splicing.
-      rebuild_sorted();
-    }
-    // Otherwise stay in scan mode — moderately busy steps are cheaper as
-    // partition scans than as a sort or a storm of long splices.
-    return;
-  }
-  simd::collect_diff(shadow_.data(), values.data(), n, dirty_.data());
-  std::size_t budget = kRepairBudgetFactor * n;
-  for (std::size_t j = 0; j < changed; ++j) {
-    const std::uint32_t i = dirty_[j];
-    const std::size_t moved = splice(shadow_[i], values[i]);
-    shadow_[i] = values[i];
-    budget -= std::min(budget, moved);
-    if (budget == 0 && j + 1 < changed) {
-      // Scattered large displacements: absorb the rest of the dirty set into
-      // the shadow and fall into scan mode — identical results, bounded cost.
-      for (std::size_t jj = j + 1; jj < changed; ++jj) {
-        shadow_[dirty_[jj]] = values[dirty_[jj]];
-      }
-      sorted_fresh_ = false;
-      return;
-    }
-  }
-}
-
-Value SortedValues::kth_value(std::size_t k) const {
-  TOPKMON_ASSERT(ready_ && k >= 1 && k <= sorted_desc_.size());
-  ensure_sorted();
-  return sorted_desc_[k - 1];
-}
-
-std::size_t SortedValues::sigma(std::size_t k, double epsilon) const {
-  TOPKMON_ASSERT(ready_);
-  if (!sorted_fresh_ && k <= Oracle::kMaxScanK) {
-    return Oracle::sigma_scan({shadow_.data(), shadow_.size()}, k, epsilon);
-  }
-  return Oracle::sigma_sorted(sorted(), k, epsilon);
-}
-
-TopKOrder::TopKOrder(std::size_t n)
-    : shadow_(n, 0), values_desc_(n, 0), ids_desc_(n, 0), pos_(n, 0), dirty_(n, 0) {
-  TOPKMON_ASSERT(n > 0);
+  return static_cast<std::size_t>(rm - ins);
 }
 
 void TopKOrder::rebuild() const {
-  const std::size_t n = shadow_.size();
-  if (!radix_) {
-    radix_ = std::make_unique<RadixScratch>(n);
-    if (rank_key_packable(n)) {
-      keys_.assign(n, 0);
-    }
-  }
-  if (rank_key_packable(n)) {
-    // Packed path: one order-preserving key per (value, id); the sorted key
-    // array yields values and ids in one unpacking sweep.
-    for (NodeId i = 0; i < n; ++i) {
-      keys_[i] = rank_key(shadow_[i], i);
-    }
-    radix_sort_desc(keys_.data(), n, *radix_);
-    for (std::size_t r = 0; r < n; ++r) {
-      const std::uint64_t key = keys_[r];
-      values_desc_[r] = rank_key_value(key);
-      ids_desc_[r] = rank_key_id(key);
-    }
-  } else {
-    // Pair path for fleets past the packed-id range: stable co-sort of
-    // (value, id) started in ascending-id order — stability is exactly the
-    // ranks_above tie-break.
-    for (NodeId i = 0; i < n; ++i) {
-      values_desc_[i] = shadow_[i];
-      ids_desc_[i] = i;
-    }
-    radix_sort_desc(values_desc_.data(), ids_desc_.data(), n, *radix_);
-  }
-  order_fresh_ = true;
-  pos_fresh_ = false;  // rebuilt ranks; pos_ re-derived on demand
+  std::copy(shadow_.begin(), shadow_.end(), sorted_desc_.begin());
+  radix_sort_desc(sorted_desc_.data(), sorted_desc_.size(), radix_);
+  sorted_fresh_ = true;
   ++rebuilds_;
-}
-
-std::size_t TopKOrder::repair(NodeId id, Value v) {
-  ensure_pos();
-  std::size_t p = pos_[id];
-  const std::size_t start = p;
-  const std::size_t n = values_desc_.size();
-  std::size_t moved = 0;
-  // Shift neighbors over the hole until (v, id) slots into rank order.
-  while (p > 0 && ranks_above(v, id, values_desc_[p - 1], ids_desc_[p - 1])) {
-    values_desc_[p] = values_desc_[p - 1];
-    ids_desc_[p] = ids_desc_[p - 1];
-    pos_[ids_desc_[p]] = static_cast<std::uint32_t>(p);
-    --p;
-  }
-  while (p + 1 < n && ranks_above(values_desc_[p + 1], ids_desc_[p + 1], v, id)) {
-    values_desc_[p] = values_desc_[p + 1];
-    ids_desc_[p] = ids_desc_[p + 1];
-    pos_[ids_desc_[p]] = static_cast<std::uint32_t>(p);
-    ++p;
-  }
-  values_desc_[p] = v;
-  ids_desc_[p] = id;
-  pos_[id] = static_cast<std::uint32_t>(p);
-  ++repairs_;
-  moved = p > start ? p - start : start - p;
-  return moved;
 }
 
 void TopKOrder::update(std::span<const Value> values) {
@@ -188,72 +54,55 @@ void TopKOrder::update(std::span<const Value> values) {
   // quiescent step this is the whole cost of order maintenance, and on a
   // dense step no index extraction is wasted on an order nobody reads.
   const std::size_t changed = simd::count_diff(shadow_.data(), values.data(), n);
-  if (changed == 0) {
-    return;
-  }
+  if (changed == 0) return;
   if (static_cast<double>(changed) > kRebuildFraction * static_cast<double>(n)) {
-    // Churn storm: park the raw vector and mark the rank arrays stale —
-    // σ(t) is served by exact partition scans, and the radix rebuild runs
-    // only if ranks are actually demanded.
+    // Churn storm: park the raw vector and defer the sort — σ(t) is served
+    // by exact partition scans until the order is actually demanded.
     std::copy(values.begin(), values.end(), shadow_.begin());
-    order_fresh_ = false;
+    sorted_fresh_ = false;
     return;
   }
-  if (!order_fresh_) {
+  if (!sorted_fresh_) {
     std::copy(values.begin(), values.end(), shadow_.begin());
     if (static_cast<double>(changed) <
         kRepairResumeFraction * static_cast<double>(n)) {
-      // Churn subsided for real: one rebuild re-arms incremental repairs.
+      // Churn subsided for real: one sort re-arms incremental splicing.
       rebuild();
     }
     // Otherwise stay in scan mode — moderately busy steps are cheaper as
-    // partition scans than as a sort or a storm of long repairs.
+    // partition scans than as a sort or a storm of long splices.
     return;
   }
+  // Pass 2: splice each dirty value. The array stays sorted after every
+  // splice, so the final state is the new vector's multiset in order. A
+  // displacement budget guards against scattered large moves (see header).
   simd::collect_diff(shadow_.data(), values.data(), n, dirty_.data());
-  // Pass 2: repair each dirty node. The array stays totally ordered w.r.t.
-  // its current (partially updated) contents after every repair, so the
-  // final state is the unique rank order of the new vector. A move budget
-  // guards against scattered large displacements (see header).
   std::size_t budget = kRepairBudgetFactor * n;
   for (std::size_t j = 0; j < changed; ++j) {
-    const NodeId i = static_cast<NodeId>(dirty_[j]);
+    const std::uint32_t i = dirty_[j];
+    budget -= std::min(budget, splice(shadow_[i], values[i]));
     shadow_[i] = values[i];
-    budget -= std::min(budget, repair(i, values[i]));
+    ++repairs_;
     if (budget == 0 && j + 1 < changed) {
+      // Absorb the rest of the dirty set into the shadow and fall into scan
+      // mode — identical results, bounded cost.
       for (std::size_t jj = j + 1; jj < changed; ++jj) {
         shadow_[dirty_[jj]] = values[dirty_[jj]];
       }
-      order_fresh_ = false;  // scan mode; lazily rebuilt if ranks are read
+      sorted_fresh_ = false;
       return;
     }
   }
 }
 
-void TopKOrder::update_node(NodeId i, Value v) {
-  TOPKMON_ASSERT(ready_);
-  TOPKMON_ASSERT(i < shadow_.size());
-  if (shadow_[i] == v) return;
-  ensure_order();  // point repairs need current rank arrays
-  shadow_[i] = v;
-  repair(i, v);
-}
-
 Value TopKOrder::kth_value(std::size_t k) const {
-  TOPKMON_ASSERT(ready_ && k >= 1 && k <= values_desc_.size());
-  ensure_order();
-  return values_desc_[k - 1];
-}
-
-NodeId TopKOrder::kth_node(std::size_t k) const {
-  TOPKMON_ASSERT(ready_ && k >= 1 && k <= ids_desc_.size());
-  ensure_order();
-  return ids_desc_[k - 1];
+  TOPKMON_ASSERT(ready_ && k >= 1 && k <= sorted_desc_.size());
+  return sorted_values()[k - 1];
 }
 
 std::size_t TopKOrder::sigma(std::size_t k, double epsilon) const {
   TOPKMON_ASSERT(ready_);
-  if (!order_fresh_ && k <= Oracle::kMaxScanK) {
+  if (!sorted_fresh_ && k <= Oracle::kMaxScanK) {
     return Oracle::sigma_scan({shadow_.data(), shadow_.size()}, k, epsilon);
   }
   return Oracle::sigma_sorted(sorted_values(), k, epsilon);

@@ -1,49 +1,45 @@
 // TopKOrder — incremental order maintenance for the batched hot path.
 //
-// The per-step quantities the simulator and the engine's shared snapshot
-// need — the k-th largest value v_π(k,t), the neighborhood size σ(t), the
-// full rank order for probes — used to be recomputed from scratch every
-// step: allocate an index vector, sort O(n log n), scan. The protocols'
-// whole point (Mäcker et al., IPDPS 2016) is that quiescent steps do no
-// *communication* work; this structure makes them do (almost) no *local*
-// work either.
+// The per-step quantities the server side needs — the k-th largest value
+// v_π(k,t) and the neighborhood size σ(t) — cost an O(n log n) sort when
+// recomputed from scratch every step. The protocols' whole point (Mäcker et
+// al., IPDPS 2016) is that quiescent steps do no *communication* work; this
+// structure makes them do (almost) no *local* work either. Only the
+// protocols output top-k *positions*, and the Oracle checks those against
+// the raw vector, so the order keeps values alone: the fleet's descending
+// multiset.
 //
-// The structure keeps the descending rank order (by `ranks_above`: value,
-// id tie-break) as two parallel preallocated arrays plus a node→rank index.
 // Each step absorbs the fleet's observation vector by diffing it against a
 // shadow copy with one vectorized compare-and-extract pass (util/simd.hpp):
-// unchanged nodes cost a fraction of a SIMD lane, changed nodes are repaired
-// in place by bounded insertion moves (cost = rank displacement). Two
-// triggers fall back to rebuilding instead: a step disturbing more than
-// `kRebuildFraction` of the fleet, and a repair pass whose accumulated
-// element moves exceed `kRepairBudgetFactor`·n (scattered large-displacement
-// updates make individually-cheap repairs collectively quadratic). The
-// rebuild is a packed-key LSD radix sort (util/packed_key.hpp +
-// util/radix.hpp) — branchless, bandwidth-bound, and skipping digit
-// positions the value range never exercises.
+// unchanged nodes cost a fraction of a SIMD lane, and each changed value is
+// spliced in place — one binary search for its old slot, one for its new
+// slot, one memmove of the values in between. Two triggers stop splicing:
+// a step disturbing more than `kRebuildFraction` of the fleet, and a pass
+// whose accumulated rank displacement exceeds `kRepairBudgetFactor`·n
+// (scattered large displacements make individually-cheap splices
+// collectively quadratic).
 //
-// Under *sustained* dense churn even one radix sort per step is wasted work:
-// the hot path consumes only σ(t), which Oracle::sigma_scan answers exactly
-// from the unsorted vector with a selection pass plus two vectorized
-// ε-partition scans. So a dense update merely parks the raw vector in the
-// shadow and marks the rank arrays stale; the rebuild runs lazily, when
-// ranks are actually demanded — an accessor, a k past the scan cutoff, or
-// churn subsiding into the repair regime. Whichever path serves a query, the
-// answer is derived from the same unique total order, so repair / rebuild /
-// scan is a pure performance choice and results stay bit-identical across
-// machines and SIMD tiers.
+// Either trigger parks the raw vector in the shadow and marks the sorted
+// array stale: the hot path consumes only σ(t), which Oracle::sigma_scan
+// answers exactly from the unsorted vector with a selection pass plus two
+// vectorized ε-partition scans. The sort — an LSD radix sort over the
+// values (util/radix.hpp) — runs lazily, when the order is actually
+// demanded: an accessor, a k past the scan cutoff, or churn subsiding below
+// `kRepairResumeFraction`, which re-arms splicing. Every path answers from
+// the same multiset, so splice / sort / scan is a pure performance choice
+// and results stay bit-identical across machines and SIMD tiers.
 //
 // Steady-state stepping allocates nothing: every buffer is sized on
-// construction or on the first rebuild (asserted via the counting allocator
-// hook in util/alloc_counter.hpp where enabled). σ(t) is answered with two
-// binary searches over the sorted values while the order is fresh, and by
+// construction (asserted via the counting allocator hook in
+// util/alloc_counter.hpp where enabled). σ(t) is answered with two binary
+// searches over the sorted values while the order is fresh, and by
 // sigma_scan's partition scans while it is parked — both built on the exact
 // ε-comparison helpers of model/oracle.hpp, so either equals Oracle::sigma
 // bit-for-bit.
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -52,100 +48,18 @@
 
 namespace topkmon {
 
-/// Lazy-order maintenance policy, shared by TopKOrder and its value-only
-/// sibling SortedValues so the twins cannot drift apart (only TopKOrder's
-/// path counters are bench-pinned; SortedValues follows by construction).
-struct OrderPolicy {
-  /// Steps disturbing more than this fraction of the fleet park the raw
-  /// vector (scan mode) instead of repairing.
-  static constexpr double kRebuildFraction = 0.125;
-
-  /// Repair/splice passes whose accumulated element moves exceed this
-  /// multiple of n bail into scan mode (identical results, bounded cost).
-  static constexpr std::size_t kRepairBudgetFactor = 4;
-
-  /// A stale order is only rebuilt — re-arming incremental repairs — once a
-  /// step disturbs fewer than this fraction of the fleet; busier steps stay
-  /// in scan mode, where σ(t) needs no order at all.
-  static constexpr double kRepairResumeFraction = 1.0 / 64.0;
-};
-
-/// Incrementally maintained descending *multiset* of the fleet's values —
-/// the value-only sibling of TopKOrder for consumers that need v_π(k,t) and
-/// σ(t) but not rank identities (the engine's shared StepSnapshot). Same
-/// diff-and-repair regime, but repairs are one binary search + memmove and
-/// the dense-update rebuild is a plain descending value radix sort (no id
-/// indirection), so it is never slower than re-sorting from scratch. Under
-/// sustained dense churn the sorted array is not even maintained: updates
-/// park the raw vector, σ(t) is answered by Oracle::sigma_scan's exact
-/// ε-partition scans, and the radix rebuild runs only when the sorted order
-/// is actually demanded (an accessor, a large k, or churn subsiding into the
-/// repair regime). Allocation-free after the first rebuild.
-class SortedValues {
- public:
-  explicit SortedValues(std::size_t n);
-
-  std::size_t n() const { return shadow_.size(); }
-
-  /// Absorbs the step's observation vector; first call sorts, later calls
-  /// diff against the previous vector and splice only changed values.
-  void update(std::span<const Value> values);
-
-  bool ready() const { return ready_; }
-
-  /// The value of rank k (1-based): v_π(k,t).
-  Value kth_value(std::size_t k) const;
-
-  /// σ(t) = |K(t)| for (k, ε); bit-identical to Oracle::sigma. Served from
-  /// the sorted order when fresh, by exact partition scans during churn
-  /// storms (see class comment).
-  std::size_t sigma(std::size_t k, double epsilon) const;
-
-  /// Values in descending order (valid until the next update); forces the
-  /// deferred rebuild if churn left the order stale.
-  std::span<const Value> sorted() const {
-    ensure_sorted();
-    return {sorted_desc_.data(), sorted_desc_.size()};
-  }
-
-  // Policy knobs alias the shared OrderPolicy (see above).
-  static constexpr double kRebuildFraction = OrderPolicy::kRebuildFraction;
-  static constexpr std::size_t kRepairBudgetFactor = OrderPolicy::kRepairBudgetFactor;
-  static constexpr double kRepairResumeFraction = OrderPolicy::kRepairResumeFraction;
-
- private:
-  std::size_t splice(Value old_value, Value new_value);
-  void rebuild_sorted() const;
-  void ensure_sorted() const {
-    if (!sorted_fresh_) rebuild_sorted();
-  }
-
-  ValueVector shadow_;  ///< last absorbed vector, by node id
-  /// The same values sorted descending — lazily: stale while churn storms
-  /// defer sorting (mutable so const accessors can force the rebuild).
-  mutable ValueVector sorted_desc_;
-  mutable std::unique_ptr<RadixScratch> radix_;  ///< rebuild scratch, first use
-  mutable bool sorted_fresh_ = false;
-  std::vector<std::uint32_t> dirty_;  ///< vector diff scratch (node ids)
-  bool ready_ = false;
-};
-
 class TopKOrder {
  public:
-  /// Order over an n-node fleet; all steady-state buffers are allocated here
-  /// (the radix rebuild scratch on the first rebuild), once.
+  /// Order over an n-node fleet; all steady-state buffers are allocated
+  /// here, once.
   explicit TopKOrder(std::size_t n);
 
   std::size_t n() const { return shadow_.size(); }
 
   /// Absorbs the step's observation vector (size n). First call sorts;
-  /// subsequent calls diff against the previous vector and repair only the
-  /// changed nodes. Allocation-free after the first call.
+  /// subsequent calls diff against the previous vector and splice only the
+  /// changed values. Allocation-free.
   void update(std::span<const Value> values);
-
-  /// Point update for callers that know the dirty set (must mirror what the
-  /// full vector would contain — the shadow copy is updated too).
-  void update_node(NodeId i, Value v);
 
   /// True once update() has absorbed a vector.
   bool ready() const { return ready_; }
@@ -153,80 +67,49 @@ class TopKOrder {
   /// The value of rank k (1-based): v_π(k,t).
   Value kth_value(std::size_t k) const;
 
-  /// The node of rank k (1-based): π(k,t).
-  NodeId kth_node(std::size_t k) const;
-
   /// σ(t) = |K(t)| for (k, ε); bit-identical to Oracle::sigma on the same
   /// vector. O(log n) binary searches while the order is fresh, exact
   /// ε-partition scans while churn keeps it parked (see file comment).
   std::size_t sigma(std::size_t k, double epsilon) const;
 
-  /// Values in descending rank order (contiguous; valid until next update);
-  /// forces the deferred rebuild if churn left the order stale.
+  /// Values in descending order (contiguous; valid until the next update);
+  /// forces the deferred sort if churn left the order stale.
   std::span<const Value> sorted_values() const {
-    ensure_order();
-    return {values_desc_.data(), values_desc_.size()};
+    if (!sorted_fresh_) rebuild();
+    return {sorted_desc_.data(), sorted_desc_.size()};
   }
 
-  /// Node ids in descending rank order.
-  std::span<const NodeId> sorted_ids() const {
-    ensure_order();
-    return {ids_desc_.data(), ids_desc_.size()};
-  }
-
-  /// Rank (0-based) currently held by node i.
-  std::size_t rank_of(NodeId i) const {
-    ensure_pos();
-    return pos_[i];
-  }
-
-  /// Nodes repaired incrementally / full rebuilds since construction —
-  /// observability counters for tests and the hot-path bench.
+  /// Values spliced incrementally / full sorts (the first one included)
+  /// since construction — observability counters for tests and benches.
   std::uint64_t repairs() const { return repairs_; }
   std::uint64_t rebuilds() const { return rebuilds_; }
 
-  // Policy knobs alias the shared OrderPolicy (see above). Exposed for
-  // tests: scattered large-displacement updates cost O(changed · n) as
-  // repairs but O(n) as scans — a pure performance choice, every answer
-  // still derives from the same unique order.
-  static constexpr double kRebuildFraction = OrderPolicy::kRebuildFraction;
-  static constexpr std::size_t kRepairBudgetFactor = OrderPolicy::kRepairBudgetFactor;
-  static constexpr double kRepairResumeFraction = OrderPolicy::kRepairResumeFraction;
+  /// Steps disturbing more than this fraction of the fleet park the raw
+  /// vector (scan mode) instead of splicing.
+  static constexpr double kRebuildFraction = 0.125;
+
+  /// Splice passes whose accumulated rank displacement exceeds this
+  /// multiple of n bail into scan mode (identical results, bounded cost).
+  static constexpr std::size_t kRepairBudgetFactor = 4;
+
+  /// A stale order is only re-sorted — re-arming splices — once a step
+  /// disturbs fewer than this fraction of the fleet; busier steps stay in
+  /// scan mode, where σ(t) needs no order at all.
+  static constexpr double kRepairResumeFraction = 1.0 / 64.0;
 
  private:
+  /// Replaces one occurrence of `old_value` by `new_value`; returns the rank
+  /// displacement |new slot − old slot|.
+  std::size_t splice(Value old_value, Value new_value);
   void rebuild() const;
-  std::size_t repair(NodeId id, Value v);  ///< returns elements moved
-
-  /// Forces the deferred churn-storm rebuild (see file comment).
-  void ensure_order() const {
-    if (!order_fresh_) rebuild();
-  }
-
-  /// Re-derives pos_ from ids_desc_ when a rebuild left it stale. The rank
-  /// index is only consumed by the repair path and rank_of(); on rebuild-
-  /// dominated churn steps maintaining it eagerly would be a wasted
-  /// n-element scatter per step, so rebuilds just mark it stale.
-  void ensure_pos() const {
-    ensure_order();  // pos_ derives from ids_desc_, which must be current
-    if (pos_fresh_) return;
-    for (std::size_t r = 0; r < ids_desc_.size(); ++r) {
-      pos_[ids_desc_[r]] = static_cast<std::uint32_t>(r);
-    }
-    pos_fresh_ = true;
-  }
 
   ValueVector shadow_;  ///< last absorbed vector, by node id
-  // Rank arrays are maintained lazily: churn storms park the raw vector in
-  // shadow_ and leave them stale until something actually consumes ranks
-  // (mutable so const accessors can force the rebuild).
-  mutable ValueVector values_desc_;       ///< values in rank order (descending)
-  mutable std::vector<NodeId> ids_desc_;  ///< node at each rank
-  mutable std::vector<std::uint32_t> pos_;  ///< node id -> rank (lazy)
-  mutable bool order_fresh_ = false;
-  mutable bool pos_fresh_ = false;
+  // The same values sorted descending — lazily: stale while churn parks the
+  // raw vector (mutable so const accessors can force the sort).
+  mutable ValueVector sorted_desc_;
+  mutable RadixScratch radix_;
+  mutable bool sorted_fresh_ = false;
   std::vector<std::uint32_t> dirty_;  ///< vector diff scratch (node ids)
-  mutable std::vector<std::uint64_t> keys_;  ///< packed rank keys, first rebuild
-  mutable std::unique_ptr<RadixScratch> radix_;  ///< rebuild scratch, first rebuild
   std::uint64_t repairs_ = 0;
   mutable std::uint64_t rebuilds_ = 0;
   bool ready_ = false;

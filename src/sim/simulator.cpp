@@ -84,12 +84,8 @@ void Simulator::step_on(const ValueVector& monitored, const StepFacts& facts) {
   } else {
     // Incremental order maintenance: quiescent steps cost one diff pass and
     // two binary searches instead of an O(n log n) sort with allocations.
-    // The id-tracking TopKOrder (not the value-only SortedValues) is kept
-    // here deliberately: the standalone simulator's fleet view maintains the
-    // actual top-k *positions* — the paper's monitored object — and its
-    // dense-update rebuild is the same comparator-indirect sort the replaced
-    // Oracle::ranking performed, so rank identity costs nothing extra on the
-    // paths that matter.
+    // σ(t) is a pure function of the values, so the order keeps no node
+    // identities — the same class serves every engine snapshot view.
     TopKOrder& order = fleet_.order();
     {
       TOPKMON_PHASE_SCOPE(profiler_, telemetry::Phase::kOrderUpdate);

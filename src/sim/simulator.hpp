@@ -12,11 +12,11 @@
 // stream the online algorithm saw — required because adaptive adversaries
 // make the stream depend on the algorithm's randomness.
 //
-// Hot path: σ(t) comes from an incremental TopKOrder (or the driver)
-// instead of a per-step sort, so a steady-state step performs no heap
-// allocation (see util/alloc_counter.hpp). Strict-mode scratch (the filter
-// snapshot the validator consumes) is captured lazily into a reusable arena
-// only when validation actually runs.
+// Hot path: σ(t) comes from the fleet's incremental value order
+// (TopKOrder, or the driver) instead of a per-step sort, so a steady-state
+// step performs no heap allocation (see util/alloc_counter.hpp).
+// Strict-mode scratch (the filter snapshot the validator consumes) is
+// captured lazily into a reusable arena only when validation actually runs.
 #pragma once
 
 #include <array>

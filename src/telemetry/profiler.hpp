@@ -40,7 +40,7 @@ enum class Phase : std::uint8_t {
   kAdvanceTime,        ///< SimContext::advance_time (install + violation sweep)
   kProtocol,           ///< protocol dispatch: start/on_step/recovery/expiry
   kViolationCollect,   ///< SimContext::collect_violations (inside kProtocol)
-  kOrderUpdate,        ///< TopKOrder::update (diff + repair / radix rebuild)
+  kOrderUpdate,        ///< TopKOrder::update (diff + splice / radix rebuild)
   kSigma,              ///< σ(t) answer (binary search / partition scan / hook)
   kStrictValidate,     ///< strict-mode output + filter validation
   kSnapshotBegin,      ///< engine: StepSnapshot::begin_step (all window views)

@@ -1,8 +1,31 @@
 #include "util/flags.hpp"
 
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
+#include <stdexcept>
 
 namespace topkmon {
+
+namespace {
+
+/// Parses the whole of `value` with `parse` (a strto* call); anything left
+/// over, an empty value or an out-of-range number throws, naming the flag.
+template <typename T, typename Parse>
+T parse_number(const std::string& name, const std::string& value,
+               const char* expected, Parse parse) {
+  const char* begin = value.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const T v = parse(begin, &end);
+  if (value.empty() || end != begin + value.size() || errno == ERANGE) {
+    throw std::invalid_argument("invalid value '" + value + "' for --" + name +
+                                " (expected " + expected + ")");
+  }
+  return v;
+}
+
+}  // namespace
 
 Flags::Flags(int argc, char** argv) {
   if (argc > 0) program_ = argv[0];
@@ -39,17 +62,35 @@ std::string Flags::get_string(const std::string& name, std::string def) const {
 
 std::int64_t Flags::get_int(const std::string& name, std::int64_t def) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? def : std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == values_.end()) return def;
+  return parse_number<std::int64_t>(name, it->second, "an integer",
+                                    [](const char* s, char** end) {
+                                      return std::strtoll(s, end, 10);
+                                    });
 }
 
 std::uint64_t Flags::get_uint(const std::string& name, std::uint64_t def) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? def : std::strtoull(it->second.c_str(), nullptr, 10);
+  if (it == values_.end()) return def;
+  // strtoull accepts "-1" and wraps it around; an unsigned flag rejects it.
+  const auto non_negative = [](const char* s, char** end) {
+    if (std::strchr(s, '-') != nullptr) {
+      *end = const_cast<char*>(s);
+      return 0ull;
+    }
+    return std::strtoull(s, end, 10);
+  };
+  return parse_number<std::uint64_t>(name, it->second, "an unsigned integer",
+                                     non_negative);
 }
 
 double Flags::get_double(const std::string& name, double def) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? def : std::strtod(it->second.c_str(), nullptr);
+  if (it == values_.end()) return def;
+  return parse_number<double>(name, it->second, "a number",
+                              [](const char* s, char** end) {
+                                return std::strtod(s, end);
+                              });
 }
 
 std::vector<std::string> Flags::names() const {

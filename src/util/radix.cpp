@@ -41,9 +41,9 @@ void offsets_desc(const std::uint32_t* hist, std::uint32_t* offset) {
   }
 }
 
-template <bool kWithIds>
-void radix_sort_impl(std::uint64_t* keys, std::uint32_t* ids, std::size_t n,
-                     RadixScratch& scratch) {
+}  // namespace
+
+void radix_sort_desc(std::uint64_t* keys, std::size_t n, RadixScratch& scratch) {
   if (n < 2) return;
   TOPKMON_ASSERT_MSG(scratch.n() >= n, "radix scratch sized for smaller array");
 
@@ -53,8 +53,6 @@ void radix_sort_impl(std::uint64_t* keys, std::uint32_t* ids, std::size_t n,
 
   std::uint64_t* src_k = keys;
   std::uint64_t* dst_k = scratch.keys();
-  std::uint32_t* src_i = ids;
-  std::uint32_t* dst_i = scratch.ids();
 
   static thread_local std::uint32_t offset[kBuckets];
   for (std::size_t d = 0; d < kDigits; ++d) {
@@ -75,33 +73,13 @@ void radix_sort_impl(std::uint64_t* keys, std::uint32_t* ids, std::size_t n,
       const std::uint64_t k = src_k[i];
       const std::uint32_t pos = offset[(k >> shift) & kDigitMask]++;
       dst_k[pos] = k;
-      if constexpr (kWithIds) {
-        dst_i[pos] = src_i[i];
-      }
     }
     std::swap(src_k, dst_k);
-    if constexpr (kWithIds) {
-      std::swap(src_i, dst_i);
-    }
   }
 
   if (src_k != keys) {
     std::memcpy(keys, src_k, n * sizeof(std::uint64_t));
-    if constexpr (kWithIds) {
-      std::memcpy(ids, src_i, n * sizeof(std::uint32_t));
-    }
   }
-}
-
-}  // namespace
-
-void radix_sort_desc(std::uint64_t* keys, std::size_t n, RadixScratch& scratch) {
-  radix_sort_impl<false>(keys, nullptr, n, scratch);
-}
-
-void radix_sort_desc(std::uint64_t* keys, std::uint32_t* ids, std::size_t n,
-                     RadixScratch& scratch) {
-  radix_sort_impl<true>(keys, ids, n, scratch);
 }
 
 }  // namespace topkmon

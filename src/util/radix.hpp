@@ -1,21 +1,14 @@
-// Branchless LSD radix sort for the dense-update fallback.
+// Branchless LSD radix sort for the order's dense-update fallback.
 //
-// When an order-maintenance step disturbs more than the rebuild fraction of
-// the fleet, repairing is hopeless and the order is rebuilt by one sort.
-// That sort used to be std::sort with the ranks_above comparator — a
-// branch-heavy introsort whose comparisons gather through the id
-// indirection. Here it is a stable least-significant-digit radix sort over
-// packed keys (util/packed_key.hpp): 8-bit digits, descending bucket order,
-// one histogram sweep over all eight digit positions up front, and digit
-// positions on which every key agrees are skipped outright — for monitored
-// values bounded by 2^48 the two high bytes never pay a pass, and workloads
-// confined to a value band skip more.
-//
-// Both entry points sort *descending* and are *stable*, so:
-//   * plain values (SortedValues' fallback) reproduce std::sort(greater<>)
-//     exactly — equal values are interchangeable;
-//   * (key, id) pairs started in ascending-id order reproduce the unique
-//     ranks_above permutation — stability breaks value ties by id.
+// When churn leaves the incremental order (model/topk_order.hpp) stale and
+// the sorted values are demanded, the order is rebuilt by one sort of the
+// fleet's values. This is a stable least-significant-digit radix sort:
+// 11-bit digits, descending bucket order, one histogram sweep over all digit
+// positions up front, and digit positions on which every key agrees are
+// skipped outright — for monitored values bounded by 2^48 the top digit
+// never pays a pass, and workloads confined to a value band skip more. Equal
+// values are interchangeable, so the result is exactly std::sort with
+// std::greater<>.
 //
 // Scratch is caller-owned (RadixScratch) and sized once, keeping the
 // steady-state churn step allocation-free.
@@ -27,27 +20,20 @@
 
 namespace topkmon {
 
-/// Reusable ping-pong buffers for the radix passes; allocate once per order
+/// Reusable ping-pong buffer for the radix passes; allocate once per order
 /// structure (n entries), reuse every rebuild.
 class RadixScratch {
  public:
-  explicit RadixScratch(std::size_t n) : keys_(n), ids_(n) {}
+  explicit RadixScratch(std::size_t n) : keys_(n) {}
 
   std::size_t n() const { return keys_.size(); }
   std::uint64_t* keys() { return keys_.data(); }
-  std::uint32_t* ids() { return ids_.data(); }
 
  private:
   std::vector<std::uint64_t> keys_;
-  std::vector<std::uint32_t> ids_;
 };
 
 /// Sorts keys[0..n) descending, stable. `scratch.n() >= n` required.
 void radix_sort_desc(std::uint64_t* keys, std::size_t n, RadixScratch& scratch);
-
-/// Co-sorts (keys, ids) descending by key, stable — ids started in ascending
-/// order yield the ranks_above permutation for keys = values.
-void radix_sort_desc(std::uint64_t* keys, std::uint32_t* ids, std::size_t n,
-                     RadixScratch& scratch);
 
 }  // namespace topkmon

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace topkmon {
 namespace {
 
@@ -52,6 +55,44 @@ TEST(Flags, DefaultsWhenMissing) {
 TEST(Flags, ProgramName) {
   auto f = make({"./bench_e1", "--n=1"});
   EXPECT_EQ(f.program(), "./bench_e1");
+}
+
+TEST(Flags, NumericGettersParseTheWholeValue) {
+  auto f = make({"prog", "--a=-12", "--b=+7", "--c=1e3", "--d=0.5"});
+  EXPECT_EQ(f.get_int("a", 0), -12);
+  EXPECT_EQ(f.get_uint("b", 0), 7u);
+  EXPECT_DOUBLE_EQ(f.get_double("c", 0.0), 1000.0);
+  EXPECT_DOUBLE_EQ(f.get_double("d", 0.0), 0.5);
+}
+
+TEST(Flags, MalformedNumbersThrowNamingFlagAndValue) {
+  auto f = make({"prog", "--steps=abc", "--n=64x", "--eps=0,2", "--k=-1",
+                 "--seed=99999999999999999999", "--empty=", "--bare"});
+  const auto message = [](auto&& get) -> std::string {
+    try {
+      get();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no exception";
+  };
+  EXPECT_EQ(message([&] { f.get_uint("steps", 1); }),
+            "invalid value 'abc' for --steps (expected an unsigned integer)");
+  EXPECT_EQ(message([&] { f.get_int("n", 1); }),
+            "invalid value '64x' for --n (expected an integer)");
+  EXPECT_EQ(message([&] { f.get_double("eps", 0.1); }),
+            "invalid value '0,2' for --eps (expected a number)");
+  EXPECT_EQ(message([&] { f.get_uint("k", 1); }),
+            "invalid value '-1' for --k (expected an unsigned integer)");
+  EXPECT_EQ(message([&] { f.get_uint("seed", 1); }),
+            "invalid value '99999999999999999999' for --seed (expected an "
+            "unsigned integer)");
+  EXPECT_EQ(message([&] { f.get_int("empty", 1); }),
+            "invalid value '' for --empty (expected an integer)");
+  EXPECT_EQ(message([&] { f.get_double("bare", 1.0); }),
+            "invalid value 'true' for --bare (expected a number)");
+  // Absent flags still fall back to the default without parsing anything.
+  EXPECT_EQ(f.get_uint("absent", 5), 5u);
 }
 
 }  // namespace

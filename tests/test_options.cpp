@@ -60,6 +60,37 @@ TEST(Options, RejectsUnknownFlags) {
   EXPECT_NE(err.str().find("unknown flag --protocl"), std::string::npos);
 }
 
+TEST(Options, RejectsMalformedNumbersNamingTheFlag) {
+  const struct {
+    std::vector<std::string> args;
+    const char* message;
+  } cases[] = {
+      {{"--steps=abc"}, "invalid value 'abc' for --steps"},
+      {{"--steps=-3"}, "invalid value '-3' for --steps"},
+      {{"--window", "12x"}, "invalid value '12x' for --window"},
+      {{"--eps=0,2"}, "invalid value '0,2' for --eps"},
+      {{"--offset="}, "invalid value '' for --offset"},
+      {{"--eps"}, "invalid value 'true' for --eps"},  // bare numeric flag
+  };
+  for (const auto& c : cases) {
+    std::uint64_t steps = 1000;
+    std::size_t window = 0;
+    double eps = 0.1;
+    std::int64_t offset = 0;
+    Options opts("t", "test");
+    opts.add_uint("steps", &steps, "s");
+    opts.add_size("window", &window, "w");
+    opts.add_double("eps", &eps, "e");
+    opts.add_int("offset", &offset, "o");
+
+    Argv a(c.args);
+    std::ostringstream err;
+    EXPECT_EQ(opts.parse(a.argc(), a.argv(), err), Options::ParseResult::kError)
+        << c.message;
+    EXPECT_NE(err.str().find(c.message), std::string::npos) << err.str();
+  }
+}
+
 TEST(Options, HelpListsEveryDeclaredFlagWithDefaults) {
   std::string proto = "combined";
   OutputOptions out;
