@@ -43,11 +43,12 @@ const ValueVector& FleetPipeline::step(TimeStep t, const ValueVector& truth,
     TOPKMON_PHASE_SCOPE(prof, telemetry::Phase::kFaultInject);
     effective_ = &injector_->transform(t, truth, fleet_);
   }
+  monitored_ = effective_;
   if (WindowedValueModel* wm = fleet_.window()) {
     TOPKMON_PHASE_SCOPE(prof, telemetry::Phase::kWindowMerge);
-    return wm->push(t, *effective_);
+    monitored_ = &wm->push(t, *effective_);
   }
-  return *effective_;
+  return *monitored_;
 }
 
 std::uint64_t FleetPipeline::stale_reads(std::size_t lo, std::size_t hi) const {

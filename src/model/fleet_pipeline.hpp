@@ -51,6 +51,9 @@ class FleetPipeline {
   /// The last step's effective vector: after faults, before the window.
   const ValueVector& effective() const { return *effective_; }
 
+  /// The last step's monitored vector: what step() returned.
+  const ValueVector& monitored() const { return *monitored_; }
+
   /// Observations served stale in the last step: whole fleet, node range
   /// [lo, hi), and all steps so far.
   std::uint64_t stale_reads() const { return injector_ ? injector_->last_stale() : 0; }
@@ -70,6 +73,7 @@ class FleetPipeline {
   std::unique_ptr<FaultInjector> injector_;  ///< null = reliable fleet
   FleetState fleet_;  ///< staging, effective, fault flags, window rings
   const ValueVector* effective_ = nullptr;
+  const ValueVector* monitored_ = nullptr;
 };
 
 }  // namespace topkmon

@@ -17,11 +17,12 @@ struct NodeHost::State {
   std::uint32_t lo = 0;
   std::uint32_t hi = 0;
 
-  FleetPipeline pipeline;
+  FleetPipeline pipeline;  ///< at step expected_t; once reported, at the next
   std::vector<Filter> filters;  ///< shard entries only
   OutputSet empty_output;  ///< the AdversaryView target (non-adaptive kinds)
   TimeStep expected_t = 0;
-  const ValueVector* monitored = nullptr;  ///< this step's windowed view
+  bool reported = false;  ///< ShardValues(expected_t) sent, FilterUpdate due
+  ValueVector reported_monitored;  ///< step expected_t's monitored shard slice
 
   State(const ConfigMsg& cfg)
       : spec(cfg.spec),
@@ -31,6 +32,14 @@ struct NodeHost::State {
                  make_fleet_schedule(cfg.spec.faults, cfg.spec.stream.n),
                  cfg.spec.window),
         filters(cfg.spec.stream.n) {}
+
+  /// Runs the full-fleet pipeline for step t — the same RNG stream as the
+  /// standalone Simulator. The AdversaryView is empty: adaptive kinds are
+  /// rejected at spec validation, and every other generator ignores it.
+  void generate(TimeStep t) {
+    const AdversaryView view{{}, &empty_output, spec.stream.k, spec.stream.epsilon};
+    pipeline.step(t, view, nullptr);
+  }
 };
 
 NodeHost::NodeHost(std::unique_ptr<Link> link, std::uint32_t host_index,
@@ -61,6 +70,7 @@ int NodeHost::run() {
                   ", " + std::to_string(cfg.shard_hi) + ")");
     }
     state_ = std::make_unique<State>(cfg);
+    state_->generate(0);
   } catch (const std::exception& e) {
     return fail(std::string("config rejected: ") + e.what());
   }
@@ -95,40 +105,41 @@ int NodeHost::run() {
 
 bool NodeHost::handle_step_begin(TimeStep t) {
   State& s = *state_;
-  if (t != s.expected_t) {
+  if (t != s.expected_t || s.reported) {
     fail("step out of order: got t=" + std::to_string(t) + ", expected " +
          std::to_string(s.expected_t));
     return false;
   }
-  // Deterministic full-fleet pipeline — same RNG stream as the standalone
-  // Simulator. The AdversaryView is empty: adaptive kinds are rejected at
-  // spec validation, and every other generator ignores the view. The
-  // monitored vector — what the coordinator's protocol sees and assigns
-  // filters against — is the windowed effective vector; the shard report
-  // carries the effective values, which the coordinator windows itself.
-  const AdversaryView view{{}, &s.empty_output, s.spec.stream.k,
-                           s.spec.stream.epsilon};
-  s.monitored = &s.pipeline.step(t, view, nullptr);
+  // The pipeline already holds step t. The shard report carries the
+  // effective values, which the coordinator windows itself; violations are
+  // counted on the monitored (windowed) values against the filters the
+  // coordinator installed at t - 1.
   const ValueVector& eff = s.pipeline.effective();
-
+  const ValueVector& monitored = s.pipeline.monitored();
   ShardValuesMsg msg;
   msg.t = t;
   msg.lo = s.lo;
   msg.values.assign(eff.begin() + s.lo, eff.begin() + s.hi);
   msg.stale = s.pipeline.stale_reads(s.lo, s.hi);
   for (std::uint32_t i = s.lo; i < s.hi; ++i) {
-    msg.violations += s.filters[i].check((*s.monitored)[i]) != Violation::kNone;
+    msg.violations += s.filters[i].check(monitored[i]) != Violation::kNone;
   }
   if (!link_->send(encode(msg))) {
     fail("coordinator unreachable (shard values)");
     return false;
   }
+  // Generate ahead: keep step t's monitored slice for the quiescence check,
+  // then run step t + 1 while the coordinator runs t's control phase. Hosts
+  // are non-adaptive, so nothing the coordinator sends can change t + 1.
+  s.reported_monitored.assign(monitored.begin() + s.lo, monitored.begin() + s.hi);
+  s.reported = true;
+  if (t + 1 < s.spec.steps) s.generate(t + 1);
   return true;
 }
 
 bool NodeHost::handle_filter_update(const FilterUpdateMsg& m) {
   State& s = *state_;
-  if (m.t != s.expected_t || s.monitored == nullptr) {
+  if (m.t != s.expected_t || !s.reported) {
     fail("filter update out of order at t=" + std::to_string(m.t));
     return false;
   }
@@ -145,10 +156,10 @@ bool NodeHost::handle_filter_update(const FilterUpdateMsg& m) {
   ack.t = m.t;
   for (std::uint32_t i = s.lo; i < s.hi; ++i) {
     ack.quiescence_errors +=
-        s.filters[i].check((*s.monitored)[i]) != Violation::kNone;
+        s.filters[i].check(s.reported_monitored[i - s.lo]) != Violation::kNone;
   }
   quiescence_errors_ += ack.quiescence_errors;
-  s.monitored = nullptr;
+  s.reported = false;
   ++s.expected_t;
   if (!link_->send(encode(ack))) {
     fail("coordinator unreachable (step ack)");

@@ -1,20 +1,29 @@
 // NodeHost — the data-plane process of the networked runtime.
 //
 // One node-host owns a contiguous shard [lo, hi) of the fleet. It receives
-// the full RunSpec in the Config handshake (zero workload flags of its own)
-// and then, per step, in lockstep with the coordinator:
+// the full RunSpec in the Config handshake (zero workload flags of its own),
+// generates step 0 right away, and then, per step t, in lockstep with the
+// coordinator:
 //
-//   1. StepBegin{t}  — runs the deterministic full-fleet FleetPipeline
-//      (generator, fault injector, window) locally — the same pipeline, on
-//      the same seeds, as the in-process Simulator, so every host reproduces
-//      the identical effective vector — and slices out its shard;
-//   2. ShardValues   — reports the shard's effective values plus node-side
-//      observations: stale-read count (kFaultStale flags in the shard) and
-//      current filter violations;
+//   1. StepBegin{t}  — its pipeline already holds step t: it reports the
+//      shard's effective values plus node-side observations (stale-read
+//      count = kFaultStale flags in the shard; violations of the filters
+//      installed at t - 1) in one ShardValues frame;
+//   2. generate ahead — it keeps a copy of the shard's monitored values of
+//      step t and runs the deterministic full-fleet FleetPipeline
+//      (generator, fault injector, window) for step t + 1, if the run has
+//      one, while the coordinator decodes, computes σ, runs the protocol
+//      and assigns filters for step t;
 //   3. FilterUpdate  — installs the filter deltas the coordinator's protocol
 //      assigned to this shard, then checks quiescence: every shard node's
-//      monitored (windowed) value must lie inside its fresh filter;
+//      monitored value of step t (the kept copy) must lie inside its fresh
+//      filter;
 //   4. StepAck       — reports the quiescence verdict.
+//
+// Generating ahead is sound because hosts are non-adaptive: adaptive streams
+// are rejected at spec validation, the AdversaryView is empty, and faults
+// come from a per-seed schedule, so nothing the coordinator sends at t can
+// change step t + 1: no frame depends on when a host generates.
 //
 // Why full-fleet generation on every host: generators are cheap and
 // deterministic, and running them whole keeps the RNG stream identical to

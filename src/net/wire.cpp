@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <utility>
 
 namespace topkmon::net {
 
@@ -11,7 +12,12 @@ namespace {
 /// or hostile frame cannot ask the decoder to reserve gigabytes.
 constexpr std::uint32_t kMaxWireElements = 1u << 24;
 
-constexpr std::size_t kHeaderBytes = 4 + 2 + 2;  // len + version + type
+/// One FilterEntry on the wire: u32 node + f64 lo + f64 hi.
+constexpr std::size_t kFilterEntryBytes = 4 + 8 + 8;
+
+/// The wire is little-endian, so on a little-endian host a value block is
+/// its in-memory image and crosses in one memcpy.
+constexpr bool kNativeWire = std::endian::native == std::endian::little;
 
 bool known_type(std::uint16_t t) {
   return t >= static_cast<std::uint16_t>(MsgType::kHello) &&
@@ -64,21 +70,24 @@ void WireWriter::str(const std::string& s) {
 
 void WireWriter::values(const ValueVector& v) {
   u32(static_cast<std::uint32_t>(v.size()));
-  for (const Value x : v) u64(x);
+  if constexpr (kNativeWire) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + v.size() * sizeof(Value));
+    if (!v.empty()) std::memcpy(buf_.data() + at, v.data(), v.size() * sizeof(Value));
+  } else {
+    for (const Value x : v) u64(x);
+  }
 }
 
-std::vector<std::uint8_t> WireWriter::frame(MsgType t) const {
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderBytes + buf_.size());
-  const std::uint32_t len = static_cast<std::uint32_t>(2 + 2 + buf_.size());
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
-  out.push_back(static_cast<std::uint8_t>(kWireVersion));
-  out.push_back(static_cast<std::uint8_t>(kWireVersion >> 8));
+std::vector<std::uint8_t> WireWriter::frame(MsgType t) && {
+  const std::uint32_t len = static_cast<std::uint32_t>(buf_.size() - 4);
+  for (int i = 0; i < 4; ++i) buf_[i] = static_cast<std::uint8_t>(len >> (8 * i));
+  buf_[4] = static_cast<std::uint8_t>(kWireVersion);
+  buf_[5] = static_cast<std::uint8_t>(kWireVersion >> 8);
   const std::uint16_t type = static_cast<std::uint16_t>(t);
-  out.push_back(static_cast<std::uint8_t>(type));
-  out.push_back(static_cast<std::uint8_t>(type >> 8));
-  out.insert(out.end(), buf_.begin(), buf_.end());
-  return out;
+  buf_[6] = static_cast<std::uint8_t>(type);
+  buf_[7] = static_cast<std::uint8_t>(type >> 8);
+  return std::move(buf_);
 }
 
 // ---------------------------------------------------------------- reader
@@ -133,9 +142,14 @@ std::string WireReader::str() {
 ValueVector WireReader::values() {
   const std::uint32_t count = u32();
   if (count > kMaxWireElements) throw WireError("value count out of range");
-  need(std::size_t{count} * 8);
+  need(std::size_t{count} * sizeof(Value));
   ValueVector v(count);
-  for (std::uint32_t i = 0; i < count; ++i) v[i] = u64();
+  if constexpr (kNativeWire) {
+    if (count != 0) std::memcpy(v.data(), data_.data() + pos_, count * sizeof(Value));
+    pos_ += count * sizeof(Value);
+  } else {
+    for (std::uint32_t i = 0; i < count; ++i) v[i] = u64();
+  }
   return v;
 }
 
@@ -148,7 +162,7 @@ void WireReader::expect_end() const {
 // ---------------------------------------------------------------- frame
 
 Frame parse_frame(std::span<const std::uint8_t> frame) {
-  if (frame.size() < kHeaderBytes) {
+  if (frame.size() < WireWriter::kHeaderBytes) {
     throw WireError("short frame: " + std::to_string(frame.size()) + " bytes");
   }
   std::uint32_t len = 0;
@@ -169,7 +183,7 @@ Frame parse_frame(std::span<const std::uint8_t> frame) {
   if (!known_type(type)) {
     throw WireError("unknown frame type " + std::to_string(type));
   }
-  return Frame{static_cast<MsgType>(type), frame.subspan(kHeaderBytes)};
+  return Frame{static_cast<MsgType>(type), frame.subspan(WireWriter::kHeaderBytes)};
 }
 
 // ---------------------------------------------------------------- run spec
@@ -322,7 +336,7 @@ std::vector<std::uint8_t> encode(const HelloMsg& m) {
   WireWriter w;
   w.u32(m.host_index);
   w.u32(m.host_count);
-  return w.frame(MsgType::kHello);
+  return std::move(w).frame(MsgType::kHello);
 }
 
 std::vector<std::uint8_t> encode(const ConfigMsg& m) {
@@ -330,23 +344,25 @@ std::vector<std::uint8_t> encode(const ConfigMsg& m) {
   write_run_spec(w, m.spec);
   w.u32(m.shard_lo);
   w.u32(m.shard_hi);
-  return w.frame(MsgType::kConfig);
+  return std::move(w).frame(MsgType::kConfig);
 }
 
 std::vector<std::uint8_t> encode(const StepBeginMsg& m) {
   WireWriter w;
   w.i64(m.t);
-  return w.frame(MsgType::kStepBegin);
+  return std::move(w).frame(MsgType::kStepBegin);
 }
 
 std::vector<std::uint8_t> encode(const ShardValuesMsg& m) {
   WireWriter w;
+  // t, lo, count, values, stale, violations: one allocation for the frame.
+  w.reserve(8 + 4 + 4 + m.values.size() * sizeof(Value) + 8 + 8);
   w.i64(m.t);
   w.u32(m.lo);
   w.values(m.values);
   w.u64(m.stale);
   w.u64(m.violations);
-  return w.frame(MsgType::kShardValues);
+  return std::move(w).frame(MsgType::kShardValues);
 }
 
 std::vector<std::uint8_t> encode(const FilterUpdateMsg& m) {
@@ -358,20 +374,20 @@ std::vector<std::uint8_t> encode(const FilterUpdateMsg& m) {
     w.f64(f.lo);
     w.f64(f.hi);
   }
-  return w.frame(MsgType::kFilterUpdate);
+  return std::move(w).frame(MsgType::kFilterUpdate);
 }
 
 std::vector<std::uint8_t> encode(const StepAckMsg& m) {
   WireWriter w;
   w.i64(m.t);
   w.u64(m.quiescence_errors);
-  return w.frame(MsgType::kStepAck);
+  return std::move(w).frame(MsgType::kStepAck);
 }
 
 std::vector<std::uint8_t> encode(const ShutdownMsg& m) {
   WireWriter w;
   write_stats(w, m.stats);
-  return w.frame(MsgType::kShutdown);
+  return std::move(w).frame(MsgType::kShutdown);
 }
 
 // ---------------------------------------------------------------- decoders
@@ -425,7 +441,11 @@ FilterUpdateMsg decode_filter_update(const Frame& f) {
   FilterUpdateMsg m;
   m.t = r.i64();
   const std::uint32_t count = r.u32();
-  if (count > kMaxWireElements) throw WireError("filter count out of range");
+  // Check the claim against the bytes actually present before sizing the
+  // vector: a short frame must not be able to demand a huge allocation.
+  if (std::size_t{count} * kFilterEntryBytes > r.remaining()) {
+    throw WireError("filter count " + std::to_string(count) + " exceeds payload");
+  }
   m.filters.resize(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     m.filters[i].node = r.u32();

@@ -56,10 +56,14 @@ std::string to_string(MsgType t);
 
 // ---------------------------------------------------------------- primitives
 
-/// Append-only little-endian encoder; `frame()` seals the buffer into a
-/// complete [len][version][type][payload] frame.
+/// Append-only little-endian encoder. The buffer starts with room for the
+/// frame header, so `frame()` seals it in place into a complete
+/// [len][version][type][payload] frame without copying the payload.
 class WireWriter {
  public:
+  /// Room for `bytes` more payload bytes without reallocating.
+  void reserve(std::size_t bytes) { buf_.reserve(buf_.size() + bytes); }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
@@ -69,11 +73,14 @@ class WireWriter {
   void str(const std::string& s);
   void values(const ValueVector& v);
 
-  /// Seals the payload written so far into a full frame of type `t`.
-  std::vector<std::uint8_t> frame(MsgType t) const;
+  /// Seals the payload written so far into a full frame of type `t` and
+  /// hands the buffer over, consuming the writer: `std::move(w).frame(t)`.
+  std::vector<std::uint8_t> frame(MsgType t) &&;
+
+  static constexpr std::size_t kHeaderBytes = 4 + 2 + 2;  ///< len + version + type
 
  private:
-  std::vector<std::uint8_t> buf_;
+  std::vector<std::uint8_t> buf_ = std::vector<std::uint8_t>(kHeaderBytes);
 };
 
 /// Bounds-checked little-endian decoder over one payload span.

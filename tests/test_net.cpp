@@ -364,6 +364,65 @@ TEST(NetRuntime, TcpTransportServesKSelectBitIdentically) {
   expect_model_identical(run, expected);
 }
 
+TEST(NetRuntime, ShortRunsAreBitIdentical) {
+  // Node-hosts generate step 0 at Config and step t + 1 right after their
+  // step-t report, but never past the last step. Runs of one to three steps
+  // put every step next to one of those edges.
+  for (const TimeStep steps : {1, 2, 3}) {
+    for (const std::uint32_t hosts : {1u, 3u}) {
+      for (const bool churn : {false, true}) {
+        RunSpec spec = base_spec();
+        spec.steps = steps;
+        if (churn) {
+          spec.faults = fault_preset("churn");
+          spec.faults.horizon = steps;
+          spec.faults.seed = 7;
+          spec.window = 4;
+        }
+        OutputSet expected_output;
+        const RunResult expected = standalone_run(spec, &expected_output);
+
+        InprocNetOptions opts;
+        opts.hosts = hosts;
+        opts.link_loss = 0.0;
+        const InprocNetReport rep = run_networked_inproc(spec, opts);
+
+        SCOPED_TRACE("steps=" + std::to_string(steps) + " hosts=" +
+                     std::to_string(hosts) + (churn ? " churn W=4" : " no faults"));
+        for (const int status : rep.host_exit) EXPECT_EQ(status, 0);
+        EXPECT_EQ(rep.quiescence_errors, 0u);
+        EXPECT_EQ(rep.output, expected_output);
+        expect_model_identical(rep.run, expected);
+      }
+    }
+  }
+}
+
+TEST(NetRuntime, WireTrafficIsPinned) {
+  // The coordinator's wire counters for base_spec(): every frame and every
+  // byte of the lockstep exchange. A change to when hosts compute must not
+  // move any of them; only a wire-format change (a kWireVersion bump) may.
+  struct Pin {
+    std::uint32_t hosts;
+    std::uint64_t frames_sent, frames_recv, bytes_sent, bytes_recv;
+  };
+  const std::vector<Pin> pins = {
+      {1, 241, 241, 4839, 23056},
+      {2, 482, 482, 9358, 30752},
+      {3, 723, 723, 13877, 38448},
+  };
+  for (const Pin& pin : pins) {
+    InprocNetOptions opts;
+    opts.hosts = pin.hosts;
+    const InprocNetReport rep = run_networked_inproc(base_spec(), opts);
+    SCOPED_TRACE("hosts=" + std::to_string(pin.hosts));
+    EXPECT_EQ(rep.run.net.frames_sent, pin.frames_sent);
+    EXPECT_EQ(rep.run.net.frames_recv, pin.frames_recv);
+    EXPECT_EQ(rep.run.net.bytes_sent, pin.bytes_sent);
+    EXPECT_EQ(rep.run.net.bytes_recv, pin.bytes_recv);
+  }
+}
+
 TEST(NetRuntime, LoopbackTransportDeliversInOrderAndClosesCleanly) {
   TransportPair pair = make_loopback_pair();
   const std::vector<std::uint8_t> f1 = encode(StepBeginMsg{1});

@@ -4,9 +4,11 @@
 // instead of misparsing.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "net/wire.hpp"
+#include "util/alloc_counter.hpp"
 
 namespace topkmon::net {
 namespace {
@@ -68,7 +70,7 @@ TEST(Wire, PrimitivesRoundTrip) {
   w.f64(3.141592653589793);
   w.str("hello wire");
   w.values(ValueVector{1, 2, 3, 1ull << 60});
-  const std::vector<std::uint8_t> frame = w.frame(MsgType::kHello);
+  const std::vector<std::uint8_t> frame = std::move(w).frame(MsgType::kHello);
 
   const Frame f = parse_frame(frame);
   EXPECT_EQ(f.type, MsgType::kHello);
@@ -113,6 +115,31 @@ TEST(Wire, ShardValuesRoundTrips) {
   EXPECT_EQ(decode_shard_values(parse_frame(encode(m))), m);
 }
 
+TEST(Wire, ShardValuesGoldenBytes) {
+  // The exact little-endian frame, independent of how the codec is written:
+  // [len 68][version 2][type 4] t=17, lo=8, count 4, values, stale, violations.
+  ShardValuesMsg m;
+  m.t = 17;
+  m.lo = 8;
+  m.values = {5, 0, 1ull << 40, 3};
+  m.stale = 2;
+  m.violations = 1;
+  const std::vector<std::uint8_t> golden = {
+      0x44, 0, 0, 0, 0x02, 0, 0x04, 0,           // header
+      0x11, 0, 0, 0, 0, 0, 0, 0,                 // t
+      0x08, 0, 0, 0,                             // lo
+      0x04, 0, 0, 0,                             // value count
+      0x05, 0, 0, 0, 0, 0, 0, 0,                 // values[0]
+      0, 0, 0, 0, 0, 0, 0, 0,                    // values[1]
+      0, 0, 0, 0, 0, 0x01, 0, 0,                 // values[2] = 2^40
+      0x03, 0, 0, 0, 0, 0, 0, 0,                 // values[3]
+      0x02, 0, 0, 0, 0, 0, 0, 0,                 // stale
+      0x01, 0, 0, 0, 0, 0, 0, 0,                 // violations
+  };
+  EXPECT_EQ(encode(m), golden);
+  EXPECT_EQ(decode_shard_values(parse_frame(golden)), m);
+}
+
 TEST(Wire, FilterUpdateRoundTrips) {
   FilterUpdateMsg m;
   m.t = 3;
@@ -142,7 +169,7 @@ TEST(Wire, RejectsVersionMismatch) {
 TEST(Wire, RejectsUnknownType) {
   WireWriter w;
   w.u32(1);
-  std::vector<std::uint8_t> frame = w.frame(MsgType::kHello);
+  std::vector<std::uint8_t> frame = std::move(w).frame(MsgType::kHello);
   frame[6] = 0x77;  // low byte of the u16 type field
   frame[7] = 0x77;
   EXPECT_THROW(parse_frame(frame), WireError);
@@ -170,6 +197,21 @@ TEST(Wire, RejectsTrailingBytes) {
   frame[2] = static_cast<std::uint8_t>(len >> 16);
   frame[3] = static_cast<std::uint8_t>(len >> 24);
   EXPECT_THROW(decode_step_ack(parse_frame(frame)), WireError);
+}
+
+TEST(Wire, RejectsOversizedFilterCountBeforeAllocating) {
+  // A 20-byte frame that claims 2^24 filter entries (about 400 MB decoded)
+  // is rejected on its payload length before the decoder sizes anything.
+  WireWriter w;
+  w.i64(0);
+  w.u32(1u << 24);
+  const std::vector<std::uint8_t> frame = std::move(w).frame(MsgType::kFilterUpdate);
+  ASSERT_EQ(frame.size(), 20u);
+  const AllocProbe probe;
+  EXPECT_THROW(decode_filter_update(parse_frame(frame)), WireError);
+  if (alloc_counting_active()) {
+    EXPECT_LT(probe.delta_bytes(), 4096u);
+  }
 }
 
 TEST(Wire, RejectsLengthMismatch) {
