@@ -25,7 +25,7 @@ namespace topkmon::bench {
 /// JSON document — src/telemetry — at exit; the scoped timers run ONLY with
 /// this flag, keeping default bench runs perf-identical to a telemetry-less
 /// build). --help prints the flags and exits 0. Any other flag, or a
-/// malformed number, is a typo: the bench names it and exits 2 instead of
+/// malformed value, is a typo: the bench names it and exits 2 instead of
 /// silently running the defaults.
 struct BenchArgs {
   std::size_t trials = 5;
@@ -47,11 +47,7 @@ struct BenchArgs {
     opts.add_size("threads", &a.threads, "sweep pool size (0 = auto)");
     opts.add_optional_path("telemetry", &a.telemetry, "telemetry.json",
                            "profile every cell and write telemetry JSON");
-    switch (opts.parse(argc, argv)) {
-      case Options::ParseResult::kHelp: std::exit(0);
-      case Options::ParseResult::kError: std::exit(2);
-      case Options::ParseResult::kOk: break;
-    }
+    opts.parse_or_exit(argc, argv);
     return a;
   }
 };

@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
                  format_double(ns_per_step, 0),
                  format_double(serial.sec * 1e3, 1),
                  format_double(serial.sec / std::max(engine_sec, 1e-12), 2),
-                 format_count(out.stats.total_messages),
+                 format_count(out.stats.messages),
                  format_count(serial.messages),
                  format_count(out.stats.shared_probe_messages),
                  identical ? "yes" : "NO"});

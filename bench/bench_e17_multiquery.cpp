@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
                  format_double(engine_sec * 1e3, 1),
                  format_double(out.stats.query_steps_per_sec, 0),
                  format_double(ns_per_step, 0),
-                 format_count(out.stats.total_messages),
+                 format_count(out.stats.messages),
                  format_count(out.stats.shared_probe_messages),
                  identical ? "yes" : "NO"});
     }
@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
     std::uint64_t queries = 0, messages = 0, broadcasts = 0;
     double msgs_per_step = 0.0;
     for (const QueryStats& q : mixed.stats.queries) {
-      if (q.kind != static_cast<QueryKind>(kind)) continue;
+      if (q.spec.kind != static_cast<QueryKind>(kind)) continue;
       ++queries;
       messages += q.run.messages;
       broadcasts += q.run.broadcasts;

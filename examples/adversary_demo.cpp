@@ -6,34 +6,41 @@
 //   $ ./adversary_demo [--sigma 12] [--k 3] [--steps 200]
 #include <iostream>
 
+#include "apps/options.hpp"
 #include "offline/opt.hpp"
 #include "protocols/combined.hpp"
 #include "sim/simulator.hpp"
 #include "streams/lb_adversary.hpp"
-#include "util/flags.hpp"
 #include "util/table.hpp"
 
 using namespace topkmon;
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
   LbAdversaryConfig adv_cfg;
-  adv_cfg.sigma = flags.get_uint("sigma", 12);
-  adv_cfg.k = flags.get_uint("k", 3);
+  adv_cfg.sigma = 12;
+  adv_cfg.k = 3;
+  adv_cfg.epsilon = 0.2;
+  std::uint64_t steps = 200;
+  std::uint64_t seed = 9;
+  Options opts("example_adversary_demo", "Theorem 5.1 adaptive adversary");
+  opts.add_size("sigma", &adv_cfg.sigma, "candidate nodes σ");
+  opts.add_size("k", &adv_cfg.k, "top-k positions to monitor");
+  opts.add_double("eps", &adv_cfg.epsilon, "approximation parameter ε");
+  opts.add_uint("steps", &steps, "run length in time steps");
+  opts.add_uint("seed", &seed, "protocol seed");
+  opts.parse_or_exit(argc, argv);
   adv_cfg.n = adv_cfg.sigma + 4;
-  adv_cfg.epsilon = flags.get_double("eps", 0.2);
-  const TimeStep steps = static_cast<TimeStep>(flags.get_uint("steps", 200));
 
   auto stream = std::make_unique<LbAdversaryStream>(adv_cfg);
   auto* adversary = stream.get();
   SimConfig cfg;
   cfg.k = adv_cfg.k;
   cfg.epsilon = adv_cfg.epsilon;
-  cfg.seed = flags.get_uint("seed", 9);
+  cfg.seed = seed;
   cfg.strict = true;
   cfg.record_history = true;
   Simulator sim(cfg, std::move(stream), std::make_unique<CombinedMonitor>());
-  const auto run = sim.run(steps);
+  const auto run = sim.run(static_cast<TimeStep>(steps));
   const auto opt = OfflineOpt::approx(sim.history(), adv_cfg.k, adv_cfg.epsilon);
 
   Table t("Adaptive lower-bound adversary (Theorem 5.1): σ=" +

@@ -10,16 +10,22 @@
 //   $ ./example_engine_demo [--steps 2000] [--threads 0] [--seed 7]
 #include <iostream>
 
+#include "apps/options.hpp"
 #include "engine/engine.hpp"
 #include "streams/registry.hpp"
-#include "util/flags.hpp"
 #include "util/table.hpp"
 
 using namespace topkmon;
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
-  const TimeStep steps = static_cast<TimeStep>(flags.get_uint("steps", 2000));
+  std::uint64_t steps = 2000;
+  EngineConfig cfg;
+  cfg.seed = 7;
+  Options opts("example_engine_demo", "32 concurrent top-k queries over one fleet");
+  opts.add_uint("steps", &steps, "run length in ticks");
+  opts.add_size("threads", &cfg.threads, "worker threads (0 = auto)");
+  opts.add_uint("seed", &cfg.seed, "engine seed");
+  opts.parse_or_exit(argc, argv);
 
   StreamSpec fleet;
   fleet.kind = "zipf_bursty";
@@ -28,10 +34,6 @@ int main(int argc, char** argv) {
   fleet.epsilon = 0.1;
   fleet.sigma = 16;
   fleet.delta = 1 << 16;
-
-  EngineConfig cfg;
-  cfg.threads = flags.get_uint("threads", 0);
-  cfg.seed = flags.get_uint("seed", 7);
 
   MonitoringEngine engine(cfg, make_stream(fleet));
 
@@ -52,7 +54,7 @@ int main(int argc, char** argv) {
     engine.add_query(spec);
   }
 
-  const EngineStats stats = engine.run(steps);
+  const EngineStats stats = engine.run(static_cast<TimeStep>(steps));
 
   std::cout << stats
                    .summary_table("engine_demo — 32 dashboards, one fleet (n=64, " +
@@ -63,8 +65,8 @@ int main(int argc, char** argv) {
 
   const double naive = static_cast<double>(stats.queries.size()) *
                        static_cast<double>(fleet.n + 1) * static_cast<double>(steps);
-  std::cout << "total messages: " << format_count(stats.total_messages) << "  ("
-            << format_double(naive / static_cast<double>(stats.total_messages), 1)
+  std::cout << "total messages: " << format_count(stats.messages) << "  ("
+            << format_double(naive / static_cast<double>(stats.messages), 1)
             << "x cheaper than 32 naive central monitors)\n";
   std::cout << "shared probe channel: " << format_count(stats.probe_calls)
             << " probe_top requests served by "

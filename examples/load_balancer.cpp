@@ -9,25 +9,32 @@
 // load trace and prints the communication comparison.
 #include <iostream>
 
+#include "apps/options.hpp"
 #include "protocols/exact_topk.hpp"
 #include "protocols/combined.hpp"
 #include "sim/simulator.hpp"
 #include "streams/zipf_bursty.hpp"
-#include "util/flags.hpp"
 #include "util/table.hpp"
 
 using namespace topkmon;
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
   ZipfBurstyConfig stream_cfg;
-  stream_cfg.n = flags.get_uint("n", 32);
+  stream_cfg.n = 32;
   stream_cfg.base_scale = 1 << 16;
-  stream_cfg.noise = flags.get_double("noise", 0.02);
-  const std::size_t k = flags.get_uint("k", 4);
-  const double eps = flags.get_double("eps", 0.15);
-  const TimeStep steps = static_cast<TimeStep>(flags.get_uint("steps", 2000));
-  const std::uint64_t seed = flags.get_uint("seed", 2024);
+  stream_cfg.noise = 0.02;
+  std::size_t k = 4;
+  double eps = 0.15;
+  std::uint64_t steps = 2000;
+  std::uint64_t seed = 2024;
+  Options opts("example_load_balancer", "exact vs ε-approximate load monitoring");
+  opts.add_size("n", &stream_cfg.n, "servers (nodes)");
+  opts.add_double("noise", &stream_cfg.noise, "multiplicative observation noise");
+  opts.add_size("k", &k, "top-k positions to monitor");
+  opts.add_double("eps", &eps, "approximation parameter ε");
+  opts.add_uint("steps", &steps, "run length in time steps");
+  opts.add_uint("seed", &seed, "seed of the load trace and protocols");
+  opts.parse_or_exit(argc, argv);
 
   auto run = [&](std::unique_ptr<MonitoringProtocol> protocol, double protocol_eps) {
     SimConfig cfg;
@@ -37,7 +44,7 @@ int main(int argc, char** argv) {
     cfg.strict = true;
     Simulator sim(cfg, std::make_unique<ZipfBurstyStream>(stream_cfg),
                   std::move(protocol));
-    return sim.run(steps);
+    return sim.run(static_cast<TimeStep>(steps));
   };
 
   const auto exact = run(std::make_unique<ExactTopKMonitor>(), 0.0);

@@ -8,16 +8,20 @@
 //   3. drive the Simulator and read output + message statistics.
 #include <iostream>
 
+#include "apps/options.hpp"
 #include "protocols/combined.hpp"
 #include "sim/simulator.hpp"
 #include "streams/random_walk.hpp"
-#include "util/flags.hpp"
 
 using namespace topkmon;
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
-  const TimeStep steps = static_cast<TimeStep>(flags.get_uint("steps", 100));
+  std::uint64_t steps = 100;
+  std::uint64_t seed = 7;
+  Options opts("example_quickstart", "top-3 of 10 random walks with ε = 0.1");
+  opts.add_uint("steps", &steps, "run length in time steps");
+  opts.add_uint("seed", &seed, "protocol seed");
+  opts.parse_or_exit(argc, argv);
 
   RandomWalkConfig stream_cfg;
   stream_cfg.n = 10;          // ten distributed nodes
@@ -27,13 +31,13 @@ int main(int argc, char** argv) {
   SimConfig sim_cfg;
   sim_cfg.k = 3;              // track the top-3 positions
   sim_cfg.epsilon = 0.1;      // ... up to 10% slack around the 3rd value
-  sim_cfg.seed = flags.get_uint("seed", 7);
+  sim_cfg.seed = seed;
   sim_cfg.strict = true;      // re-validate the protocol contract every step
 
   Simulator sim(sim_cfg, std::make_unique<RandomWalkStream>(stream_cfg),
                 std::make_unique<CombinedMonitor>());
 
-  for (TimeStep t = 0; t < steps; ++t) {
+  for (TimeStep t = 0; t < static_cast<TimeStep>(steps); ++t) {
     sim.step();
     if (t % 10 == 0) {
       std::cout << "t=" << t << "  F(t) = {";

@@ -6,10 +6,10 @@
 #include <cstdio>
 #include <iostream>
 
+#include "apps/options.hpp"
 #include "protocols/registry.hpp"
 #include "sim/simulator.hpp"
 #include "streams/trace_file.hpp"
-#include "util/flags.hpp"
 #include "util/rng.hpp"
 
 using namespace topkmon;
@@ -35,20 +35,26 @@ std::string synthesize_demo_trace() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
-  std::string path = flags.get_string("trace", "");
+  std::string path;
+  std::string protocol = "combined";
+  SimConfig cfg;
+  cfg.k = 3;
+  cfg.epsilon = 0.1;
+  cfg.seed = 1;
+  Options opts("example_trace_replay", "replay a CSV trace through a monitor");
+  opts.add_string("trace", &path, "CSV trace (one row per step); empty = demo");
+  opts.add_string("protocol", &protocol, "monitoring protocol");
+  opts.add_size("k", &cfg.k, "top-k positions to monitor");
+  opts.add_double("eps", &cfg.epsilon, "approximation parameter ε");
+  opts.add_uint("seed", &cfg.seed, "protocol seed");
+  opts.parse_or_exit(argc, argv);
   if (path.empty()) {
     path = synthesize_demo_trace();
     std::cout << "(no --trace given; synthesized demo trace at " << path << ")\n";
   }
-  const std::string protocol = flags.get_string("protocol", "combined");
 
   auto stream = std::make_unique<TraceFileStream>(path);
   const std::size_t rows = stream->rows();
-  SimConfig cfg;
-  cfg.k = flags.get_uint("k", 3);
-  cfg.epsilon = flags.get_double("eps", 0.1);
-  cfg.seed = flags.get_uint("seed", 1);
   cfg.strict = true;
   Simulator sim(cfg, std::move(stream), make_protocol(protocol));
   sim.run(static_cast<TimeStep>(rows));

@@ -5,10 +5,11 @@
 // copy-pasted helpers and no --help beyond `--list`. Options binds each flag
 // name to a field once — parse applies every binding, auto-generates the
 // --help text from the declarations, and rejects unknown flags and
-// malformed numbers instead of silently ignoring them. All four binaries
-// (topk_sim, topk_engine, topk_coord, topk_node) and the bench_e* tables
-// (bench/bench_common.hpp) declare their surface through this class, so
-// --faults / --window / --telemetry / --json mean the same thing everywhere.
+// malformed values instead of silently ignoring them. All four binaries
+// (topk_sim, topk_engine, topk_coord, topk_node), the bench_e* tables
+// (bench/bench_common.hpp) and the examples declare their surface through
+// this class, so --faults / --window / --telemetry / --json mean the same
+// thing everywhere.
 //
 // Usage:
 //   StreamSpec spec;            // caller presets per-binary defaults
@@ -24,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <stdexcept>
@@ -113,11 +115,22 @@ class Options {
     }
     try {
       for (const Bind& b : binds_) apply(b);
-    } catch (const std::invalid_argument& e) {  // malformed numeric value
+    } catch (const std::invalid_argument& e) {  // malformed number or boolean
       out << program_ << ": " << e.what() << "\n";
       return ParseResult::kError;
     }
     return ParseResult::kOk;
+  }
+
+  /// parse(), exiting the process unless it returns kOk: status 0 after
+  /// --help/--list, 2 on an unknown flag or a malformed value — the
+  /// convention of the bench_e* tables and the examples.
+  void parse_or_exit(int argc, char** argv) {
+    switch (parse(argc, argv)) {
+      case ParseResult::kHelp: std::exit(0);
+      case ParseResult::kError: std::exit(2);
+      case ParseResult::kOk: break;
+    }
   }
 
   /// The underlying parsed flags — for groups with bespoke parsing (faults).

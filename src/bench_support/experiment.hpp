@@ -67,8 +67,9 @@ TrialOutcome run_experiment_trial(const ExperimentConfig& cfg, std::size_t trial
                                   telemetry::StepProfiler* profiler = nullptr);
 
 /// Folds one trial into the cell's result. Must be called in trial order —
-/// the single aggregation point shared by run_experiment and the sweep
-/// runner, so both fold with the identical floating-point operation order.
+/// the single aggregation point shared by run_experiment and both sweep
+/// paths (solo and engine-grouped cells), so all fold with the identical
+/// floating-point operation order.
 void accumulate_trial(ExperimentResult& res, const ExperimentConfig& cfg,
                       const TrialOutcome& trial);
 

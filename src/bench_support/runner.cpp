@@ -1,6 +1,5 @@
 #include "bench_support/runner.hpp"
 
-#include <cmath>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -51,19 +50,15 @@ std::string group_key(const ExperimentConfig& cfg) {
   return oss.str();
 }
 
-struct GroupTrialOutcome {
-  std::vector<RunResult> runs;     ///< per cell, group order
-  std::vector<double> opt_phases;  ///< per cell; NaN where OptKind::kNone
-};
-
 /// One trial of a cell group: one engine, Q = group size. Each query uses
 /// the exact seed a standalone Simulator would, and probe sharing stays off,
 /// so per-cell RunResults are bit-identical to the serial path; the shared
 /// work is the generator (once per step) and the OPT (once per distinct
-/// (kind, ε') instead of once per cell).
-GroupTrialOutcome run_group_trial(const std::vector<const ExperimentConfig*>& cells,
-                                  std::size_t trial,
-                                  telemetry::StepProfiler* profiler) {
+/// (kind, ε', W) instead of once per cell). Returns one TrialOutcome per
+/// cell, in group order.
+std::vector<TrialOutcome> run_group_trial(
+    const std::vector<const ExperimentConfig*>& cells, std::size_t trial,
+    telemetry::StepProfiler* profiler) {
   const ExperimentConfig& base = *cells.front();
   const std::uint64_t sim_seed = splitmix_combine(base.seed, trial);
 
@@ -97,22 +92,20 @@ GroupTrialOutcome run_group_trial(const std::vector<const ExperimentConfig*>& ce
   // them once, while a standalone Simulator (one fleet per cell) books them
   // into its own RunResult. Copy the fleet total into each cell so grouped
   // results stay bit-identical to the solo path.
-  const std::uint64_t fleet_stale = engine.run(base.steps).stale_reads;
+  const EngineStats stats = engine.run(base.steps);
   if (profiler != nullptr) {
     profiler->merge(trial_sink.merged_profiler());
   }
 
-  GroupTrialOutcome out;
-  out.runs.reserve(cells.size());
-  out.opt_phases.assign(cells.size(), std::nan(""));
+  std::vector<TrialOutcome> out(cells.size());
   // The engine history is pre-window; the windowed OPT of a cell re-windows
   // it with the cell's W (exactly what that query's protocol saw), cached
   // per distinct (kind, ε′, W).
   std::map<std::tuple<int, double, std::size_t>, std::uint64_t> opt_cache;
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const auto* c = cells[i];
-    out.runs.push_back(engine.query_sim(static_cast<QueryHandle>(i)).result());
-    out.runs.back().stale_reads = fleet_stale;
+    out[i].run = stats.queries[i].run;
+    out[i].run.stale_reads = stats.stale_reads;
     if (c->opt_kind == OptKind::kNone) continue;
     const double eps_opt = c->opt_epsilon < 0.0 ? c->epsilon : c->opt_epsilon;
     const auto key = std::make_tuple(
@@ -126,32 +119,10 @@ GroupTrialOutcome run_group_trial(const std::vector<const ExperimentConfig*>& ce
               : WindowedOpt::approx(engine.history(), c->k, eps_opt, c->window);
       it = opt_cache.emplace(key, opt.phases).first;
     }
-    out.opt_phases[i] = static_cast<double>(it->second);
+    out[i].opt_phases = it->second;
+    out[i].has_opt = true;
   }
   return out;
-}
-
-/// Folds group-trial outcomes into an ExperimentResult in the same order
-/// run_experiment would (trial 0 .. T−1).
-ExperimentResult merge_group_trials(const ExperimentConfig& cfg,
-                                    const std::vector<GroupTrialOutcome>& trials,
-                                    std::size_t cell_pos) {
-  ExperimentResult res;
-  for (const GroupTrialOutcome& t : trials) {
-    const RunResult& run = t.runs[cell_pos];
-    res.messages.add(static_cast<double>(run.messages));
-    res.msgs_per_step.add(run.messages_per_step);
-    res.max_sigma.add(static_cast<double>(run.max_sigma));
-    res.max_rounds.add(static_cast<double>(run.max_rounds_per_step));
-    if (cfg.opt_kind != OptKind::kNone) {
-      const double phases = t.opt_phases[cell_pos];
-      res.opt_phases.add(phases);
-      res.ratio.add(static_cast<double>(run.messages) /
-                    std::max(1.0, phases));
-    }
-    res.last_run = run;
-  }
-  return res;
 }
 
 }  // namespace
@@ -159,8 +130,6 @@ ExperimentResult merge_group_trials(const ExperimentConfig& cfg,
 std::vector<ExperimentResult> run_sweep(const std::vector<SweepRow>& rows,
                                         std::size_t threads,
                                         telemetry::TelemetrySink* sink) {
-  std::vector<ExperimentResult> results(rows.size());
-
   // Partition rows: groupable cells go through the engine, the rest (unique
   // stream configs, adaptive adversaries) stay one-Simulator-per-cell.
   std::map<std::string, std::vector<std::size_t>> grouped;
@@ -184,28 +153,28 @@ std::vector<ExperimentResult> run_sweep(const std::vector<SweepRow>& rows,
 
   // (cell × trial) task grid: every trial of every cell — solo or grouped —
   // is one independent unit for the work-stealing loop. Each task derives
-  // its own RNG streams and writes into its own preassigned slot, and the
-  // slots are folded on the caller thread in (cell, trial) order, so results
-  // are bit-identical whatever the worker count or steal pattern.
+  // its own RNG streams and writes into its own preassigned (row, trial)
+  // slots — a grouped task fills one slot per cell of its group — and each
+  // row folds its slots through accumulate_trial on the caller thread in
+  // trial order, so results are bit-identical to run_experiment whatever
+  // the worker count or steal pattern.
   struct Task {
     std::size_t index;  ///< solo: row index; grouped: group index
     std::size_t trial;
     bool grouped;
   };
   std::vector<Task> tasks;
-  std::vector<std::vector<TrialOutcome>> solo_outcomes(solo.size());
-  std::vector<std::vector<GroupTrialOutcome>> group_outcomes(groups.size());
-  for (std::size_t s = 0; s < solo.size(); ++s) {
-    const std::size_t trials = rows[solo[s]].cfg.trials;
-    solo_outcomes[s].resize(trials);
-    for (std::size_t t = 0; t < trials; ++t) {
-      tasks.push_back({s, t, false});
+  std::vector<std::vector<TrialOutcome>> outcomes(rows.size());  ///< [row][trial]
+  for (std::size_t row = 0; row < rows.size(); ++row) {
+    outcomes[row].resize(rows[row].cfg.trials);
+  }
+  for (const std::size_t row : solo) {
+    for (std::size_t t = 0; t < rows[row].cfg.trials; ++t) {
+      tasks.push_back({row, t, false});
     }
   }
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    const std::size_t trials = rows[groups[g].front()].cfg.trials;
-    group_outcomes[g].resize(trials);
-    for (std::size_t t = 0; t < trials; ++t) {
+    for (std::size_t t = 0; t < rows[groups[g].front()].cfg.trials; ++t) {
       tasks.push_back({g, t, true});
     }
   }
@@ -219,16 +188,19 @@ std::vector<ExperimentResult> run_sweep(const std::vector<SweepRow>& rows,
     telemetry::StepProfiler local;
     telemetry::StepProfiler* prof = sink != nullptr ? &local : nullptr;
     if (!task.grouped) {
-      solo_outcomes[task.index][task.trial] =
-          run_experiment_trial(rows[solo[task.index]].cfg, task.trial, prof);
+      outcomes[task.index][task.trial] =
+          run_experiment_trial(rows[task.index].cfg, task.trial, prof);
     } else {
+      const std::vector<std::size_t>& group = groups[task.index];
       std::vector<const ExperimentConfig*> cells;
-      cells.reserve(groups[task.index].size());
-      for (const std::size_t row : groups[task.index]) {
+      cells.reserve(group.size());
+      for (const std::size_t row : group) {
         cells.push_back(&rows[row].cfg);
       }
-      group_outcomes[task.index][task.trial] =
-          run_group_trial(cells, task.trial, prof);
+      std::vector<TrialOutcome> per_cell = run_group_trial(cells, task.trial, prof);
+      for (std::size_t pos = 0; pos < group.size(); ++pos) {
+        outcomes[group[pos]][task.trial] = std::move(per_cell[pos]);
+      }
     }
     if (sink != nullptr) {
       const std::lock_guard<std::mutex> lock(sink_mutex);
@@ -236,18 +208,10 @@ std::vector<ExperimentResult> run_sweep(const std::vector<SweepRow>& rows,
     }
   });
 
-  for (std::size_t s = 0; s < solo.size(); ++s) {
-    const std::size_t row = solo[s];
-    ExperimentResult res;
-    for (const TrialOutcome& t : solo_outcomes[s]) {
-      accumulate_trial(res, rows[row].cfg, t);
-    }
-    results[row] = std::move(res);
-  }
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    for (std::size_t pos = 0; pos < groups[g].size(); ++pos) {
-      const std::size_t row = groups[g][pos];
-      results[row] = merge_group_trials(rows[row].cfg, group_outcomes[g], pos);
+  std::vector<ExperimentResult> results(rows.size());
+  for (std::size_t row = 0; row < rows.size(); ++row) {
+    for (const TrialOutcome& t : outcomes[row]) {
+      accumulate_trial(results[row], rows[row].cfg, t);
     }
   }
   return results;

@@ -146,40 +146,42 @@ void MonitoringEngine::attach_telemetry(telemetry::TelemetrySink* sink) {
   }
 }
 
-void MonitoringEngine::publish_telemetry() {
-  // Aggregates are summed straight off the per-query CommStats and shared
-  // probes — no EngineStats construction (that allocates), no RNG, no
-  // messages — so per-step publishing keeps the step loop allocation-free
-  // and the counters bit-identical.
-  telemetry::MetricsRegistry& reg = telemetry_->registry();
-  StatsSnapshot snap;  // POD on the stack — no heap traffic
-  std::uint64_t query_messages = 0;
-  for (const EngineShard& shard : shards_) {
-    for (std::size_t i = 0; i < shard.size(); ++i) {
-      const CommStats& s = shard.sim(i).context().stats();
-      query_messages += s.total();
-      snap += StatsSnapshot::from(s);
-    }
+EngineStats MonitoringEngine::aggregate() const {
+  // Each query's CommStats and each probe channel are summed exactly once;
+  // stale reads and window expirations are fleet-level, booked once by the
+  // pipeline and the snapshot rather than per query. `queries` stays empty,
+  // so the per-step publish allocates nothing.
+  EngineStats s;
+  s.steps = static_cast<std::uint64_t>(next_t_);
+  for (std::size_t q = 0; q < specs_.size(); ++q) {
+    const CommStats& c = query_sim(static_cast<QueryHandle>(q)).context().stats();
+    s.query_messages += c.total();
+    s += StatsSnapshot::from(c);
   }
-  std::uint64_t probe_messages = 0, probe_calls = 0, ranks = 0;
   for (const WindowProbe& wp : probes_) {
-    probe_messages += wp.probe->stats().total();
-    snap += StatsSnapshot::from(wp.probe->stats());
-    probe_calls += wp.probe->calls();
-    ranks += wp.probe->ranks_computed();
+    const CommStats& c = wp.probe->stats();
+    s.shared_probe_messages += c.total();
+    s += StatsSnapshot::from(c);
+    s.probe_calls += wp.probe->calls();
+    s.probe_ranks_computed += wp.probe->ranks_computed();
   }
-  snap.messages = query_messages + probe_messages;
-  snap.stale_reads = pipeline_.total_stale_reads();
-  snap.window_expirations = step_snapshot_.window_expirations();
-  publish_stats(reg, ids_.stats, snap);
-  reg.set(ids_.step, static_cast<std::uint64_t>(next_t_));
+  s.stale_reads = pipeline_.total_stale_reads();
+  s.window_expirations = step_snapshot_.window_expirations();
+  return s;
+}
+
+void MonitoringEngine::publish_telemetry() {
+  telemetry::MetricsRegistry& reg = telemetry_->registry();
+  const EngineStats s = aggregate();
+  publish_stats(reg, ids_.stats, s);
+  reg.set(ids_.step, s.steps);
   reg.set(ids_.queries, specs_.size());
-  reg.set(ids_.query_messages, query_messages);
-  reg.set(ids_.shared_probe_messages, probe_messages);
-  reg.set(ids_.total_messages, query_messages + probe_messages);
-  reg.set(ids_.probe_calls, probe_calls);
-  reg.set(ids_.probe_ranks_computed, ranks);
-  telemetry_->timeseries().sample(reg, static_cast<std::uint64_t>(next_t_));
+  reg.set(ids_.query_messages, s.query_messages);
+  reg.set(ids_.shared_probe_messages, s.shared_probe_messages);
+  reg.set(ids_.total_messages, s.messages);
+  reg.set(ids_.probe_calls, s.probe_calls);
+  reg.set(ids_.probe_ranks_computed, s.probe_ranks_computed);
+  telemetry_->timeseries().sample(reg, s.steps);
 }
 
 void MonitoringEngine::step() {
@@ -235,36 +237,14 @@ EngineStats MonitoringEngine::run(TimeStep steps) {
 }
 
 EngineStats MonitoringEngine::stats() const {
-  EngineStats s;
-  s.steps = static_cast<std::uint64_t>(next_t_);
+  EngineStats s = aggregate();
   s.queries.reserve(specs_.size());
   for (std::size_t q = 0; q < specs_.size(); ++q) {
-    const Simulator& sim = query_sim(static_cast<QueryHandle>(q));
-    QueryStats qs;
-    qs.handle = static_cast<QueryHandle>(q);
-    qs.label = specs_[q].label;
-    qs.protocol = specs_[q].protocol;
-    qs.kind = specs_[q].kind;
-    qs.k = specs_[q].k;
-    qs.epsilon = specs_[q].epsilon;
-    qs.window = specs_[q].window;
-    qs.run = sim.result();
-    qs.output = sim.protocol().output();
-    s.query_messages += qs.run.messages;
-    s.messages_lost += qs.run.messages_lost;
-    s.recovery_rounds += qs.run.recovery_rounds;
+    const auto h = static_cast<QueryHandle>(q);
+    const Simulator& sim = query_sim(h);
     s.windowed |= specs_[q].window != kInfiniteWindow;
-    s.queries.push_back(std::move(qs));
+    s.queries.push_back({h, specs_[q], sim.result(), sim.protocol().output()});
   }
-  for (const WindowProbe& wp : probes_) {
-    s.shared_probe_messages += wp.probe->stats().total();
-    s.messages_lost += wp.probe->stats().messages_lost();
-    s.probe_calls += wp.probe->calls();
-    s.probe_ranks_computed += wp.probe->ranks_computed();
-  }
-  s.stale_reads = pipeline_.total_stale_reads();
-  s.window_expirations = step_snapshot_.window_expirations();
-  s.total_messages = s.query_messages + s.shared_probe_messages;
   s.elapsed_sec = elapsed_sec_;
   if (elapsed_sec_ > 0.0) {
     s.steps_per_sec = static_cast<double>(s.steps) / elapsed_sec_;

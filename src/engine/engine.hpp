@@ -92,7 +92,9 @@ class MonitoringEngine {
   /// Runs `steps` time steps and returns aggregate + per-query statistics.
   EngineStats run(TimeStep steps);
 
-  /// Statistics of everything executed so far.
+  /// Statistics of everything executed so far: the engine-wide total (the
+  /// same one attach_telemetry publishes every step) plus the per-query
+  /// breakdown.
   EngineStats stats() const;
 
   /// Per-query introspection (valid once the engine has started).
@@ -123,10 +125,11 @@ class MonitoringEngine {
   const std::vector<ValueVector>& history() const { return history_; }
 
   /// Attaches a telemetry sink: registers the engine's metric namespace
-  /// (engine.*, faults.*, window.*), arms the engine-loop profiler
+  /// (comm.*, engine.*, faults.*, window.*), arms the engine-loop profiler
   /// (generator / fault-inject / snapshot phases) plus one single-writer
   /// profiler per shard (Phase::kShardAdvance and the per-simulator inner
-  /// phases), and mirrors aggregates into the registry after every step.
+  /// phases), and publishes the engine-wide total — the one stats()
+  /// reports — into the registry after every step.
   /// Must precede the first step; the sink must outlive the engine.
   /// Publishing only reads existing counters, so results stay bit-identical.
   void attach_telemetry(telemetry::TelemetrySink* sink);
@@ -134,6 +137,12 @@ class MonitoringEngine {
  private:
   void ensure_started();
   void publish_telemetry();
+
+  /// The one engine-wide total behind stats() and publish_telemetry():
+  /// every query's CommStats and every shared probe channel summed once,
+  /// stale reads from the pipeline, window expirations from the snapshot.
+  /// Allocation-free — the per-query breakdown is left empty.
+  EngineStats aggregate() const;
 
   /// The shared probe channel of one window length: queries with the same W
   /// observe the same windowed fleet, so their probe_top traffic batches;

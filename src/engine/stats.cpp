@@ -20,25 +20,6 @@ std::string describe(const QuerySpec& spec) {
   return oss.str();
 }
 
-StatsSnapshot EngineStats::totals() const {
-  StatsSnapshot snap;
-  snap.messages = total_messages;
-  for (const QueryStats& q : queries) {
-    snap.node_to_server += q.run.node_to_server;
-    snap.server_to_node += q.run.server_to_node;
-    snap.broadcasts += q.run.broadcasts;
-    for (std::size_t t = 0; t < kNumMessageTags; ++t) {
-      snap.by_tag[t] += q.run.by_tag[t];
-    }
-    snap.rounds += q.run.rounds;
-  }
-  snap.messages_lost = messages_lost;
-  snap.stale_reads = stale_reads;
-  snap.recovery_rounds = recovery_rounds;
-  snap.window_expirations = window_expirations;
-  return snap;
-}
-
 Table EngineStats::per_query_table(const std::string& title) const {
   // The "W" column appears only when some query actually windows, keeping
   // unwindowed serving reports byte-identical to the pre-window engine.
@@ -55,10 +36,11 @@ Table EngineStats::per_query_table(const std::string& title) const {
       out += std::to_string(q.output[i]) + (i + 1 < q.output.size() ? "," : "");
     }
     out += "}";
-    std::vector<std::string> row{std::to_string(q.handle), q.label,
-                                 std::to_string(q.k), format_double(q.epsilon, 3)};
+    const QuerySpec& spec = q.spec;
+    std::vector<std::string> row{std::to_string(q.handle), spec.label,
+                                 std::to_string(spec.k), format_double(spec.epsilon, 3)};
     if (windowed) {
-      row.push_back(q.window == kInfiniteWindow ? "inf" : std::to_string(q.window));
+      row.push_back(spec.window == kInfiniteWindow ? "inf" : std::to_string(spec.window));
     }
     row.push_back(format_count(q.run.messages));
     row.push_back(format_double(q.run.messages_per_step, 2));
@@ -76,7 +58,7 @@ Table EngineStats::summary_table(const std::string& title) const {
   t.add_row({"steps", format_count(steps)});
   t.add_row({"query messages", format_count(query_messages)});
   t.add_row({"shared probe messages", format_count(shared_probe_messages)});
-  t.add_row({"total messages", format_count(total_messages)});
+  t.add_row({"total messages", format_count(messages)});
   t.add_row({"shared probe calls", format_count(probe_calls)});
   t.add_row({"shared probe ranks computed", format_count(probe_ranks_computed)});
   t.add_row({"messages lost (links)", format_count(messages_lost)});

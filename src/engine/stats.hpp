@@ -7,54 +7,44 @@
 
 #include "engine/query.hpp"
 #include "sim/simulator.hpp"
+#include "sim/stats_snapshot.hpp"
 #include "util/table.hpp"
 
 namespace topkmon {
 
-/// One query's view of an engine run: its spec, its individually accounted
-/// communication (RunResult, same semantics as Simulator::result) and its
-/// final output set.
+/// One query's view of an engine run: its spec (label and protocol
+/// resolved by add_query), its individually accounted communication
+/// (RunResult, same semantics as Simulator::result) and its final output set.
 struct QueryStats {
   QueryHandle handle = 0;
-  std::string label;
-  std::string protocol;
-  QueryKind kind = QueryKind::kTopK;
-  std::size_t k = 0;
-  double epsilon = 0.0;
-  std::size_t window = 0;  ///< sliding-window length W; 0 = unwindowed
+  QuerySpec spec;
   RunResult run;
   OutputSet output;
 };
 
-struct EngineStats {
+/// The engine-wide StatsSnapshot — every query's CommStats plus every shared
+/// probe channel, summed once by the engine (so `messages` counts query and
+/// shared-probe traffic, and kinds, tags and rounds sum to the same total),
+/// with the fleet-level stale reads and window expirations — plus the
+/// engine-only counters and the per-query breakdown. Net counters stay zero:
+/// the engine is in-process.
+struct EngineStats : StatsSnapshot {
   std::vector<QueryStats> queries;  ///< in handle order
 
   std::uint64_t steps = 0;
   std::uint64_t query_messages = 0;         ///< Σ per-query accounted messages
   std::uint64_t shared_probe_messages = 0;  ///< once-per-step shared probing
-  std::uint64_t total_messages = 0;         ///< query + shared
   std::uint64_t probe_calls = 0;           ///< probe_top requests served shared
   std::uint64_t probe_ranks_computed = 0;  ///< ranks computed (once per step)
 
-  // Fault metrics (src/faults; all zero on the fault-free path).
-  std::uint64_t messages_lost = 0;    ///< retransmissions, queries + shared probe
-  std::uint64_t stale_reads = 0;      ///< fleet observations served from the past
-  std::uint64_t recovery_rounds = 0;  ///< Σ per-query membership recoveries
-
-  // Window metrics (src/model/window.hpp; zero without windowed queries).
-  bool windowed = false;                   ///< any query with W > 0
-  std::uint64_t window_expirations = 0;    ///< Σ expiries across window views
+  bool windowed = false;  ///< any query with W > 0
 
   double elapsed_sec = 0.0;
   double steps_per_sec = 0.0;        ///< engine time steps per wall second
   double query_steps_per_sec = 0.0;  ///< steps × Q per wall second (vs serial)
 
-  /// The engine run folded into the shared StatsSnapshot shape
-  /// (sim/stats_snapshot.hpp): `messages` is total_messages (query + shared
-  /// probe), kinds/tags/rounds are summed over the per-query RunResults, the
-  /// fault/window metrics are the aggregates above. Net counters stay zero —
-  /// the engine is in-process.
-  StatsSnapshot totals() const;
+  /// The engine run as the shared StatsSnapshot shape.
+  StatsSnapshot totals() const { return *this; }
 
   /// Per-query breakdown table.
   Table per_query_table(const std::string& title) const;

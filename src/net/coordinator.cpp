@@ -194,14 +194,7 @@ NetChannelStats NetCoordinator::net_total() const {
 }
 
 void NetCoordinator::publish_net_telemetry() {
-  telemetry::MetricsRegistry& reg = telemetry_->registry();
-  const NetChannelStats net = net_total();
-  reg.set(stats_ids_.net_frames_sent, net.frames_sent);
-  reg.set(stats_ids_.net_frames_recv, net.frames_recv);
-  reg.set(stats_ids_.net_bytes_sent, net.bytes_sent);
-  reg.set(stats_ids_.net_bytes_recv, net.bytes_recv);
-  reg.set(stats_ids_.net_send_retries, net.send_retries);
-  reg.set(stats_ids_.net_reconnects, net.reconnects);
+  publish_net_stats(telemetry_->registry(), stats_ids_, net_total());
 }
 
 // ---------------------------------------------------------------- inproc

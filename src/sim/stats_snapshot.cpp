@@ -57,12 +57,17 @@ void publish_stats(telemetry::MetricsRegistry& reg, const StatsSnapshotIds& ids,
   reg.set(ids.stale_reads, snap.stale_reads);
   reg.set(ids.recovery_rounds, snap.recovery_rounds);
   reg.set(ids.window_expirations, snap.window_expirations);
-  reg.set(ids.net_frames_sent, snap.net.frames_sent);
-  reg.set(ids.net_frames_recv, snap.net.frames_recv);
-  reg.set(ids.net_bytes_sent, snap.net.bytes_sent);
-  reg.set(ids.net_bytes_recv, snap.net.bytes_recv);
-  reg.set(ids.net_send_retries, snap.net.send_retries);
-  reg.set(ids.net_reconnects, snap.net.reconnects);
+  publish_net_stats(reg, ids, snap.net);
+}
+
+void publish_net_stats(telemetry::MetricsRegistry& reg, const StatsSnapshotIds& ids,
+                       const NetChannelStats& net) {
+  reg.set(ids.net_frames_sent, net.frames_sent);
+  reg.set(ids.net_frames_recv, net.frames_recv);
+  reg.set(ids.net_bytes_sent, net.bytes_sent);
+  reg.set(ids.net_bytes_recv, net.bytes_recv);
+  reg.set(ids.net_send_retries, net.send_retries);
+  reg.set(ids.net_reconnects, net.reconnects);
 }
 
 }  // namespace topkmon

@@ -1,15 +1,14 @@
 // StatsSnapshot — the one struct every run-statistics surface shares.
 //
-// RunResult (standalone Simulator), EngineStats (MonitoringEngine) and the
-// networked coordinator (src/net) all report the same core: the model-level
-// message accounting (CommStats totals, kinds, tags, rounds), the fault
-// metrics, the window metric, and — new with the networked runtime — the
-// transport-level per-link counters. Before this struct each surface
-// mirrored the fields and registered its own metric names; now the block is
-// declared once here, registered into a MetricsRegistry through ONE
-// registration point (register_stats_metrics) and published through ONE
-// write point (publish_stats), so a new counter is added in exactly one
-// place.
+// RunResult (standalone Simulator and the networked coordinator, src/net)
+// and EngineStats (MonitoringEngine) both derive from it, so every driver
+// reports the same core: the model-level message accounting (CommStats
+// totals, kinds, tags, rounds), the fault metrics, the window metric, and
+// the transport-level per-link counters. Each driver computes its snapshot
+// in one place (Simulator::result, MonitoringEngine's engine-wide total),
+// registers it into a MetricsRegistry through ONE registration point
+// (register_stats_metrics) and publishes it through ONE write point
+// (publish_stats), so a new counter is added in exactly one place.
 //
 // Model messages vs transport frames: CommStats counts the *paper's* cost
 // measure (protocol messages of the monitoring model); NetChannelStats
@@ -113,5 +112,10 @@ StatsSnapshotIds register_stats_metrics(telemetry::MetricsRegistry& reg);
 /// stores (no RNG, no allocation — results stay bit-identical).
 void publish_stats(telemetry::MetricsRegistry& reg, const StatsSnapshotIds& ids,
                    const StatsSnapshot& snap);
+
+/// The net.* block of publish_stats alone — for drivers (the networked
+/// coordinator) that refresh transport counters between full publishes.
+void publish_net_stats(telemetry::MetricsRegistry& reg, const StatsSnapshotIds& ids,
+                       const NetChannelStats& net);
 
 }  // namespace topkmon

@@ -108,7 +108,11 @@ std::vector<std::string> Flags::get_all(const std::string& name) const {
 bool Flags::get_bool(const std::string& name, bool def) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  throw std::invalid_argument("invalid value '" + v + "' for --" + name +
+                              " (expected true/false/1/0/yes/no)");
 }
 
 }  // namespace topkmon

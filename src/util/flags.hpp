@@ -18,8 +18,9 @@ class Flags {
   bool has(const std::string& name) const;
 
   std::string get_string(const std::string& name, std::string def) const;
-  /// Numeric getters parse the whole value or throw std::invalid_argument
-  /// naming the flag and the value ("--steps=abc" is an error, not 0).
+  /// Numeric and boolean getters parse the whole value or throw
+  /// std::invalid_argument naming the flag and the value ("--steps=abc" is
+  /// an error, not 0; booleans accept exactly true/false/1/0/yes/no).
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
   std::uint64_t get_uint(const std::string& name, std::uint64_t def) const;
   double get_double(const std::string& name, double def) const;

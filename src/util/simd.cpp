@@ -1,7 +1,5 @@
 #include "util/simd.hpp"
 
-#include <cstring>
-
 #if defined(__x86_64__) && !defined(TOPKMON_SIMD_OFF)
 #define TOPKMON_SIMD_X86 1
 #include <immintrin.h>
@@ -96,14 +94,6 @@ std::size_t count_eq_u32(const std::uint32_t* values, std::uint32_t v, std::size
   return count;
 }
 
-std::size_t count_ge(const Value* values, Value bound, std::size_t n) {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    count += values[i] >= bound;
-  }
-  return count;
-}
-
 std::size_t count_f64_ge(const Value* values, double bound, std::size_t n) {
   std::size_t count = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -124,147 +114,6 @@ std::size_t count_scaled_gt(const Value* values, double scale, double bound,
 }  // namespace scalar
 
 #if defined(TOPKMON_SIMD_X86)
-
-// ------------------------------------------------------------------ SSE2
-// SSE2 is part of the x86-64 base ABI, so these bodies need no target
-// attribute. 64-bit lane equality is synthesized from 32-bit compares
-// (pcmpeqq is SSE4.1); ordered 64-bit compares are not available before
-// SSE4.2, so the order-based primitives stay on the scalar tier here.
-namespace sse2 {
-
-inline int eq_mask_2xu64(__m128i a, __m128i b) {
-  const __m128i eq32 = _mm_cmpeq_epi32(a, b);
-  // A 64-bit lane is equal iff both of its 32-bit halves are.
-  const __m128i swapped = _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1));
-  const __m128i eq64 = _mm_and_si128(eq32, swapped);
-  return _mm_movemask_pd(_mm_castsi128_pd(eq64));  // 2 bits, 1 = equal
-}
-
-std::size_t count_diff(const Value* a, const Value* b, std::size_t n) {
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-    count += static_cast<std::size_t>(
-        __builtin_popcount(~eq_mask_2xu64(va, vb) & 0x3));
-  }
-  return count + scalar::count_diff(a + i, b + i, n - i);
-}
-
-std::size_t collect_diff(const Value* a, const Value* b, std::size_t n,
-                         std::uint32_t* out) {
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-    int dirty = ~eq_mask_2xu64(va, vb) & 0x3;
-    while (dirty != 0) {
-      const int lane = __builtin_ctz(static_cast<unsigned>(dirty));
-      out[count++] = static_cast<std::uint32_t>(i + static_cast<std::size_t>(lane));
-      dirty &= dirty - 1;
-    }
-  }
-  for (; i < n; ++i) {
-    out[count] = static_cast<std::uint32_t>(i);
-    count += a[i] != b[i];
-  }
-  return count;
-}
-
-std::size_t collect_nonzero(const std::uint8_t* mask, std::size_t n,
-                            std::uint32_t* out) {
-  const __m128i zero = _mm_setzero_si128();
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(mask + i));
-    const int zeros = _mm_movemask_epi8(_mm_cmpeq_epi8(x, zero));
-    unsigned set = ~static_cast<unsigned>(zeros) & 0xFFFFu;
-    while (set != 0) {
-      const auto lane = static_cast<std::size_t>(__builtin_ctz(set));
-      out[count++] = static_cast<std::uint32_t>(i + lane);
-      set &= set - 1;
-    }
-  }
-  for (; i < n; ++i) {
-    out[count] = static_cast<std::uint32_t>(i);
-    count += mask[i] != 0;
-  }
-  return count;
-}
-
-std::size_t violation_mask(const Value* values, const double* lo, const double* hi,
-                           std::size_t n, std::uint8_t* out) {
-  // Exact u64 → f64 for values < 2^52: OR in the 2^52 exponent bits and
-  // subtract 2^52.0 — the mantissa then holds the integer exactly.
-  const __m128i exp52 = _mm_set1_epi64x(0x4330000000000000LL);
-  const __m128d offset = _mm_castsi128_pd(exp52);
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(values + i));
-    const __m128d x = _mm_sub_pd(_mm_castsi128_pd(_mm_or_si128(v, exp52)), offset);
-    const __m128d vlo = _mm_loadu_pd(lo + i);
-    const __m128d vhi = _mm_loadu_pd(hi + i);
-    const __m128d bad = _mm_or_pd(_mm_cmpgt_pd(x, vhi), _mm_cmplt_pd(x, vlo));
-    const int mask = _mm_movemask_pd(bad);
-    out[i] = static_cast<std::uint8_t>(mask & 1);
-    out[i + 1] = static_cast<std::uint8_t>((mask >> 1) & 1);
-    count += static_cast<std::size_t>(__builtin_popcount(static_cast<unsigned>(mask)));
-  }
-  return count + scalar::violation_mask(values + i, lo + i, hi + i, n - i, out + i);
-}
-
-std::size_t count_eq_u32(const std::uint32_t* values, std::uint32_t v, std::size_t n) {
-  const __m128i needle = _mm_set1_epi32(static_cast<int>(v));
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(values + i));
-    const int mask = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(x, needle)));
-    count += static_cast<std::size_t>(__builtin_popcount(static_cast<unsigned>(mask)));
-  }
-  return count + scalar::count_eq_u32(values + i, v, n - i);
-}
-
-inline __m128d to_f64_2xu64(__m128i v, __m128i exp52, __m128d offset) {
-  return _mm_sub_pd(_mm_castsi128_pd(_mm_or_si128(v, exp52)), offset);
-}
-
-std::size_t count_f64_ge(const Value* values, double bound, std::size_t n) {
-  const __m128i exp52 = _mm_set1_epi64x(0x4330000000000000LL);
-  const __m128d offset = _mm_castsi128_pd(exp52);
-  const __m128d vb = _mm_set1_pd(bound);
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(values + i));
-    const int mask = _mm_movemask_pd(_mm_cmpge_pd(to_f64_2xu64(v, exp52, offset), vb));
-    count += static_cast<std::size_t>(__builtin_popcount(static_cast<unsigned>(mask)));
-  }
-  return count + scalar::count_f64_ge(values + i, bound, n - i);
-}
-
-std::size_t count_scaled_gt(const Value* values, double scale, double bound,
-                            std::size_t n) {
-  const __m128i exp52 = _mm_set1_epi64x(0x4330000000000000LL);
-  const __m128d offset = _mm_castsi128_pd(exp52);
-  const __m128d vs = _mm_set1_pd(scale);
-  const __m128d vb = _mm_set1_pd(bound);
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(values + i));
-    const __m128d x = _mm_mul_pd(vs, to_f64_2xu64(v, exp52, offset));
-    count += static_cast<std::size_t>(__builtin_popcount(
-        static_cast<unsigned>(_mm_movemask_pd(_mm_cmpgt_pd(x, vb)))));
-  }
-  return count + scalar::count_scaled_gt(values + i, scale, bound, n - i);
-}
-
-}  // namespace sse2
 
 // ------------------------------------------------------------------ AVX2
 // Each body carries target("avx2") so the library builds without -mavx2 and
@@ -472,21 +321,6 @@ TOPKMON_AVX2 std::size_t count_scaled_gt(const Value* values, double scale,
   return count + scalar::count_scaled_gt(values + i, scale, bound, n - i);
 }
 
-TOPKMON_AVX2 std::size_t count_ge(const Value* values, Value bound, std::size_t n) {
-  const __m256i vb = flip_sign(_mm256_set1_epi64x(static_cast<long long>(bound)));
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(values + i));
-    const int lt = _mm256_movemask_pd(
-        _mm256_castsi256_pd(_mm256_cmpgt_epi64(vb, flip_sign(v))));
-    count += 4 - static_cast<std::size_t>(
-                     __builtin_popcount(static_cast<unsigned>(lt)));
-  }
-  return count + scalar::count_ge(values + i, bound, n - i);
-}
-
 }  // namespace avx2
 #undef TOPKMON_AVX2
 
@@ -553,7 +387,6 @@ struct Impl {
   Value (*min_value)(const Value*, std::size_t);
   std::size_t (*count_lt)(const Value*, const Value*, std::size_t);
   std::size_t (*count_eq_u32)(const std::uint32_t*, std::uint32_t, std::size_t);
-  std::size_t (*count_ge)(const Value*, Value, std::size_t);
   std::size_t (*count_f64_ge)(const Value*, double, std::size_t);
   std::size_t (*count_scaled_gt)(const Value*, double, double, std::size_t);
 };
@@ -562,7 +395,7 @@ constexpr Impl kScalarImpl = {
     "scalar",          scalar::count_diff, scalar::collect_diff, scalar::collect_nonzero,
     scalar::violation_mask, scalar::max_merge,  scalar::max_value,
     scalar::min_value, scalar::count_lt,   scalar::count_eq_u32,
-    scalar::count_ge,  scalar::count_f64_ge, scalar::count_scaled_gt,
+    scalar::count_f64_ge, scalar::count_scaled_gt,
 };
 
 const Impl& select_impl() {
@@ -572,23 +405,17 @@ const Impl& select_impl() {
         "avx2",          avx2::count_diff, avx2::collect_diff, avx2::collect_nonzero,
         avx2::violation_mask, avx2::max_merge,  avx2::max_value,
         avx2::min_value, avx2::count_lt,   avx2::count_eq_u32,
-        avx2::count_ge,  avx2::count_f64_ge, avx2::count_scaled_gt,
+        avx2::count_f64_ge, avx2::count_scaled_gt,
     };
     return kAvx2;
   }
-  static constexpr Impl kSse2 = {
-      "sse2",            sse2::count_diff, sse2::collect_diff, sse2::collect_nonzero,
-      sse2::violation_mask,   scalar::max_merge, scalar::max_value,
-      scalar::min_value, scalar::count_lt, sse2::count_eq_u32,
-      scalar::count_ge,  sse2::count_f64_ge, sse2::count_scaled_gt,
-  };
-  return kSse2;
+  return kScalarImpl;  // x86-64 without AVX2
 #elif defined(TOPKMON_SIMD_NEON)
   static constexpr Impl kNeon = {
       "neon",            neon::count_diff, scalar::collect_diff, scalar::collect_nonzero,
       neon::violation_mask,   neon::max_merge,  scalar::max_value,
       scalar::min_value, scalar::count_lt, scalar::count_eq_u32,
-      scalar::count_ge,  scalar::count_f64_ge, scalar::count_scaled_gt,
+      scalar::count_f64_ge, scalar::count_scaled_gt,
   };
   return kNeon;
 #else
@@ -642,10 +469,6 @@ std::size_t count_lt(const Value* a, const Value* b, std::size_t n) {
 
 std::size_t count_eq_u32(const std::uint32_t* values, std::uint32_t v, std::size_t n) {
   return impl().count_eq_u32(values, v, n);
-}
-
-std::size_t count_ge(const Value* values, Value bound, std::size_t n) {
-  return impl().count_ge(values, bound, n);
 }
 
 std::size_t count_f64_ge(const Value* values, double bound, std::size_t n) {

@@ -8,16 +8,15 @@
 // so the model/sim/faults layers never touch an intrinsic.
 //
 // Dispatch has two stages:
-//   * compile time — AVX2 and SSE2 bodies are built on x86-64 (SSE2 is part
-//     of the base ABI; AVX2 bodies carry `target("avx2")` attributes so the
-//     translation unit itself needs no -mavx2), NEON on aarch64, and a plain
-//     scalar body everywhere. The TOPKMON_SIMD=OFF CMake toggle (compile
-//     definition TOPKMON_SIMD_OFF) forces the scalar body alone — the CI
-//     scalar leg runs the differential fuzz suite against it to prove the
-//     vector paths are bit-identical.
+//   * compile time — AVX2 bodies are built on x86-64 (they carry
+//     `target("avx2")` attributes, so the translation unit itself needs no
+//     -mavx2), NEON on aarch64, and a plain scalar body everywhere. The
+//     TOPKMON_SIMD=OFF CMake toggle (compile definition TOPKMON_SIMD_OFF)
+//     forces the scalar body alone — the CI scalar leg runs the differential
+//     fuzz suite against it to prove the vector paths are bit-identical.
 //   * run time — on x86-64 the implementation table is chosen once per
-//     process via __builtin_cpu_supports("avx2"), so one binary serves both
-//     ISA tiers at full speed.
+//     process via __builtin_cpu_supports("avx2"): AVX2 CPUs get the vector
+//     bodies, older x86-64 CPUs the scalar ones.
 //
 // Every primitive is *exact*: integer compares, IEEE double compares and
 // max/min merges have one correct answer per lane, so the scalar and vector
@@ -32,7 +31,7 @@
 
 namespace topkmon::simd {
 
-/// The lane implementation serving this process: "avx2", "sse2", "neon" or
+/// The lane implementation serving this process: "avx2", "neon" or
 /// "scalar". Decided once (CPUID on x86-64); "scalar" always under
 /// TOPKMON_SIMD=OFF.
 const char* active_isa();
@@ -77,9 +76,6 @@ std::size_t count_lt(const Value* a, const Value* b, std::size_t n);
 /// Lanes with values[i] == v — n means the array is constant at v (uniform
 /// ring-slot / deque-length tests).
 std::size_t count_eq_u32(const std::uint32_t* values, std::uint32_t v, std::size_t n);
-
-/// Partition scan over an *unsorted* array: lanes with values[i] >= bound.
-std::size_t count_ge(const Value* values, Value bound, std::size_t n);
 
 /// ε-neighborhood partition scans (the scan-mode σ(t) of Oracle::sigma_scan).
 /// Lanes with (double)values[i] >= bound — the "not clearly smaller" count.

@@ -433,8 +433,20 @@ TEST(DifferentialFuzz, RandomQueryKindMixesUpholdEveryKindsContract) {
 
     const TimeStep steps = 20 + static_cast<TimeStep>(rng.below(31));
     const EngineStats stats = engine.run(steps);
-    EXPECT_EQ(stats.steps, static_cast<std::uint64_t>(steps))
-        << "mix " << i << " (base seed " << base_seed << ")";
+    const std::string where =
+        "mix " + std::to_string(i) + " (base seed " + std::to_string(base_seed) + ")";
+    EXPECT_EQ(stats.steps, static_cast<std::uint64_t>(steps)) << where;
+
+    // One engine-wide total: kinds, tags and per-query runs plus the shared
+    // probe all account for the same messages, with probes shared or not.
+    std::uint64_t by_tag = 0, by_query = 0;
+    for (const std::uint64_t m : stats.by_tag) by_tag += m;
+    for (const QueryStats& q : stats.queries) by_query += q.run.messages;
+    EXPECT_EQ(stats.messages,
+              stats.node_to_server + stats.server_to_node + stats.broadcasts)
+        << where;
+    EXPECT_EQ(stats.messages, by_tag) << where;
+    EXPECT_EQ(stats.messages, by_query + stats.shared_probe_messages) << where;
   }
 }
 

@@ -5,6 +5,7 @@
 #include "model/oracle.hpp"
 #include "protocols/registry.hpp"
 #include "streams/registry.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace topkmon {
 namespace {
@@ -112,7 +113,7 @@ TEST(Engine, BitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(per_query_outputs(t1), per_query_outputs(t8)) << "share=" << share;
     EXPECT_EQ(t1.shared_probe_messages, t4.shared_probe_messages) << "share=" << share;
     EXPECT_EQ(t1.shared_probe_messages, t8.shared_probe_messages) << "share=" << share;
-    EXPECT_EQ(t1.total_messages, t8.total_messages) << "share=" << share;
+    EXPECT_EQ(t1.messages, t8.messages) << "share=" << share;
     EXPECT_EQ(t1.probe_calls, t8.probe_calls) << "share=" << share;
     EXPECT_EQ(t1.probe_ranks_computed, t8.probe_ranks_computed) << "share=" << share;
   }
@@ -123,7 +124,7 @@ TEST(Engine, DeterministicAcrossRuns) {
   const EngineStats b = run_mixed_engine(8, true, 21);
   EXPECT_EQ(per_query_messages(a), per_query_messages(b));
   EXPECT_EQ(per_query_outputs(a), per_query_outputs(b));
-  EXPECT_EQ(a.total_messages, b.total_messages);
+  EXPECT_EQ(a.messages, b.messages);
 }
 
 // --- mixed (k, ε) correctness under the strict oracle validator ------------
@@ -186,7 +187,7 @@ TEST(Engine, SharedProbesCutTotalMessages) {
   EXPECT_GT(shared.probe_calls, shared.probe_ranks_computed);
   // 8 identical queries ask the identical top-5 question each step; sharing
   // must collapse nearly 8x of the probe traffic.
-  EXPECT_LT(shared.total_messages, unshared.total_messages / 4);
+  EXPECT_LT(shared.messages, unshared.messages / 4);
 }
 
 TEST(Engine, SharedProbeResultsMatchUnshared) {
@@ -241,10 +242,58 @@ TEST(Engine, StatsAggregateAcrossQueries) {
   const EngineStats stats = engine.run(10);
   // naive_central pays n + 1 per step per query.
   EXPECT_EQ(stats.query_messages, 2u * 10u * 9u);
-  EXPECT_EQ(stats.total_messages, stats.query_messages);
+  EXPECT_EQ(stats.messages, stats.query_messages);
   EXPECT_EQ(stats.steps, 10u);
   ASSERT_EQ(stats.queries.size(), 2u);
   EXPECT_EQ(stats.queries[0].run.messages, stats.queries[1].run.messages);
+}
+
+TEST(Engine, TotalsMatchKindsTagsAndRegistryWithSharedProbes) {
+  // stats() and the per-step publish read one engine-wide total, so the
+  // shared probe's traffic shows in the kinds, tags and rounds of totals()
+  // exactly as it does in the registry's comm.* counters.
+  EngineConfig cfg;
+  cfg.threads = 2;
+  cfg.seed = 5;
+  cfg.share_probes = true;
+  MonitoringEngine engine(cfg, make_stream(fleet_spec("zipf_bursty", 256)));
+  for (std::size_t q = 0; q < 8; ++q) {
+    QuerySpec spec;
+    spec.protocol = q % 2 == 0 ? "exact_topk" : "combined";
+    spec.k = 2 + q % 3;
+    spec.epsilon = q % 2 == 0 ? 0.0 : 0.1;
+    engine.add_query(spec);
+  }
+  telemetry::TelemetrySink sink;
+  engine.attach_telemetry(&sink);
+  const EngineStats stats = engine.run(300);
+  ASSERT_GT(stats.shared_probe_messages, 0u);
+
+  const StatsSnapshot totals = stats.totals();
+  std::uint64_t by_tag = 0;
+  for (const std::uint64_t m : totals.by_tag) by_tag += m;
+  EXPECT_EQ(totals.messages,
+            totals.node_to_server + totals.server_to_node + totals.broadcasts);
+  EXPECT_EQ(totals.messages, by_tag);
+  EXPECT_EQ(totals.messages, stats.query_messages + stats.shared_probe_messages);
+
+  // register_stats_metrics is idempotent: it returns the engine's ids.
+  const StatsSnapshotIds ids = register_stats_metrics(sink.registry());
+  const telemetry::MetricsRegistry& reg = sink.registry();
+  EXPECT_EQ(reg.value(ids.messages), totals.messages);
+  EXPECT_EQ(reg.value(ids.node_to_server), totals.node_to_server);
+  EXPECT_EQ(reg.value(ids.server_to_node), totals.server_to_node);
+  EXPECT_EQ(reg.value(ids.broadcasts), totals.broadcasts);
+  for (std::size_t t = 0; t < kNumMessageTags; ++t) {
+    EXPECT_EQ(reg.value(ids.by_tag[t]), totals.by_tag[t])
+        << to_string(static_cast<MessageTag>(t));
+  }
+  EXPECT_EQ(reg.value(ids.rounds), totals.rounds);
+  EXPECT_EQ(reg.value(ids.messages_lost), totals.messages_lost);
+  EXPECT_EQ(reg.value(ids.stale_reads), totals.stale_reads);
+  EXPECT_EQ(reg.value(ids.recovery_rounds), totals.recovery_rounds);
+  EXPECT_EQ(reg.value(ids.window_expirations), totals.window_expirations);
+  EXPECT_EQ(reg.value(reg.find("engine.total_messages")), totals.messages);
 }
 
 TEST(Engine, LabelsDefaultToSpecDescription) {
@@ -258,7 +307,7 @@ TEST(Engine, LabelsDefaultToSpecDescription) {
   spec.epsilon = 0.25;
   engine.add_query(spec);
   const EngineStats stats = engine.run(5);
-  EXPECT_EQ(stats.queries[0].label, "combined k=2 eps=0.25");
+  EXPECT_EQ(stats.queries[0].spec.label, "combined k=2 eps=0.25");
 }
 
 }  // namespace

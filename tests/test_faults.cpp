@@ -347,7 +347,7 @@ TEST(EngineFaults, AllZeroScheduleIsBitIdentical) {
     EXPECT_EQ(faulted.queries[q].run.messages, base.queries[q].run.messages);
     EXPECT_EQ(faulted.queries[q].output, base.queries[q].output);
   }
-  EXPECT_EQ(faulted.total_messages, base.total_messages);
+  EXPECT_EQ(faulted.messages, base.messages);
   EXPECT_EQ(faulted.messages_lost, 0u);
   EXPECT_EQ(faulted.stale_reads, 0u);
   EXPECT_EQ(faulted.recovery_rounds, 0u);

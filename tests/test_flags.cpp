@@ -95,5 +95,28 @@ TEST(Flags, MalformedNumbersThrowNamingFlagAndValue) {
   EXPECT_EQ(f.get_uint("absent", 5), 5u);
 }
 
+TEST(Flags, BoolGetterRejectsMalformedValue) {
+  auto f = make({"prog", "--a=yes", "--b=no", "--c=1", "--d=0", "--strict=ture",
+                 "--csv=2", "--empty="});
+  EXPECT_TRUE(f.get_bool("a", false));
+  EXPECT_FALSE(f.get_bool("b", true));
+  EXPECT_TRUE(f.get_bool("c", false));
+  EXPECT_FALSE(f.get_bool("d", true));
+  const auto message = [&](const std::string& name) -> std::string {
+    try {
+      f.get_bool(name, false);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no exception";
+  };
+  EXPECT_EQ(message("strict"),
+            "invalid value 'ture' for --strict (expected true/false/1/0/yes/no)");
+  EXPECT_EQ(message("csv"),
+            "invalid value '2' for --csv (expected true/false/1/0/yes/no)");
+  EXPECT_EQ(message("empty"),
+            "invalid value '' for --empty (expected true/false/1/0/yes/no)");
+}
+
 }  // namespace
 }  // namespace topkmon

@@ -81,7 +81,7 @@ TEST(MultiQuery, CountDistinctEngineMatchesStandaloneSimulator) {
   const QueryCapabilities* caps = engine.capability(h, QueryKind::kCountDistinct);
   ASSERT_NE(caps, nullptr);
   EXPECT_EQ(caps->distinct_count(), serial_caps->distinct_count());
-  EXPECT_EQ(stats.queries[h].kind, QueryKind::kCountDistinct);
+  EXPECT_EQ(stats.queries[h].spec.kind, QueryKind::kCountDistinct);
 }
 
 TEST(MultiQuery, ThresholdEngineMatchesStandaloneSimulator) {
@@ -203,7 +203,7 @@ TEST(MultiQuery, MixedKindEngineIsBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(t1.queries[q].run.by_tag, t4.queries[q].run.by_tag) << q;
     EXPECT_EQ(t1.queries[q].output, t4.queries[q].output) << q;
   }
-  EXPECT_EQ(t1.total_messages, t4.total_messages);
+  EXPECT_EQ(t1.messages, t4.messages);
 }
 
 // --- the redesign is invisible to the existing kinds -----------------------

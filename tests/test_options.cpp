@@ -71,17 +71,21 @@ TEST(Options, RejectsMalformedNumbersNamingTheFlag) {
       {{"--eps=0,2"}, "invalid value '0,2' for --eps"},
       {{"--offset="}, "invalid value '' for --offset"},
       {{"--eps"}, "invalid value 'true' for --eps"},  // bare numeric flag
+      {{"--strict=ture"}, "invalid value 'ture' for --strict"},  // booleans too
+      {{"--strict=2"}, "invalid value '2' for --strict"},
   };
   for (const auto& c : cases) {
     std::uint64_t steps = 1000;
     std::size_t window = 0;
     double eps = 0.1;
     std::int64_t offset = 0;
+    bool strict = false;
     Options opts("t", "test");
     opts.add_uint("steps", &steps, "s");
     opts.add_size("window", &window, "w");
     opts.add_double("eps", &eps, "e");
     opts.add_int("offset", &offset, "o");
+    opts.add_bool("strict", &strict, "st");
 
     Argv a(c.args);
     std::ostringstream err;

@@ -32,7 +32,7 @@ ValueVector random_values(Rng& rng, std::size_t n, Value lo, Value hi) {
 
 TEST(Simd, ActiveIsaIsReported) {
   const std::string isa = simd::active_isa();
-  EXPECT_TRUE(isa == "avx2" || isa == "sse2" || isa == "neon" || isa == "scalar")
+  EXPECT_TRUE(isa == "avx2" || isa == "neon" || isa == "scalar")
       << isa;
 }
 
@@ -138,11 +138,6 @@ TEST(Simd, MaxMergeAndScansMatchScalar) {
       EXPECT_EQ(simd::max_value(a.data(), n), expected_max);
       EXPECT_EQ(simd::min_value(a.data(), n), expected_min);
       EXPECT_EQ(simd::count_lt(a.data(), b.data(), n), expected_lt);
-
-      const Value bound = n == 0 ? 0 : a[rng.below(n)];  // an attained bound
-      std::size_t expected_ge = 0;
-      for (std::size_t i = 0; i < n; ++i) expected_ge += a[i] >= bound;
-      EXPECT_EQ(simd::count_ge(a.data(), bound, n), expected_ge);
 
       ValueVector merged = a;
       simd::max_merge(merged.data(), b.data(), n);
