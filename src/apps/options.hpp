@@ -341,6 +341,22 @@ inline std::optional<QuerySpec> single_query_option(const Flags& flags) {
   return parse_query_spec(raw.front());
 }
 
+/// The TCP port `text` given for `--flag` (topk_coord, topk_node): all of it
+/// must be decimal digits naming a port in [min_port, 65535]. Throws
+/// std::invalid_argument naming the flag and the value otherwise.
+inline std::uint16_t parse_port(const std::string& flag, const std::string& text,
+                                unsigned min_port) {
+  const bool digits = !text.empty() && text.size() <= 5 &&
+                      text.find_first_not_of("0123456789") == std::string::npos;
+  const unsigned long port = digits ? std::stoul(text) : 0;
+  if (!digits || port < min_port || port > 65535) {
+    throw std::invalid_argument("invalid port '" + text + "' for --" + flag +
+                                " (expected " + std::to_string(min_port) +
+                                "..65535)");
+  }
+  return static_cast<std::uint16_t>(port);
+}
+
 /// The shared export/rendering surface.
 struct OutputOptions {
   std::string telemetry_json;

@@ -33,7 +33,6 @@
 #include "net/coordinator.hpp"
 #include "net/transport.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/rng.hpp"
 #include "util/table.hpp"
 
 using namespace topkmon;
@@ -42,11 +41,8 @@ namespace {
 
 void report(const RunResult& run, const net::RunSpec& spec,
             std::uint64_t quiescence_errors, const OutputSet& output,
-            const std::vector<Value>& kselect_estimates,
-            const std::optional<std::uint64_t>& distinct_count,
-            const std::optional<std::uint64_t>& threshold_above,
-            std::uint32_t hosts, const std::string& mode,
-            const OutputOptions& out) {
+            const net::QueryAnswers& answers, std::uint32_t hosts,
+            const std::string& mode, const OutputOptions& out) {
   Table t("topk_coord — " + spec.protocol + " on " + spec.stream.kind + " (n=" +
           std::to_string(spec.stream.n) + ", k=" + std::to_string(spec.stream.k) +
           ", hosts=" + std::to_string(hosts) + ", steps=" +
@@ -79,17 +75,17 @@ void report(const RunResult& run, const net::RunSpec& spec,
     out_str += std::to_string(output[i]) + (i + 1 < output.size() ? ", " : "");
   }
   t.add_row({"final output F(T)", out_str + "}"});
-  if (!kselect_estimates.empty()) {
+  if (!answers.kselect_estimates.empty()) {
     t.add_row({"k-select estimate (j=k)",
-               format_count(kselect_estimates.back())});
+               format_count(answers.kselect_estimates.back())});
   }
-  if (distinct_count) {
-    t.add_row({"distinct bands (final)", format_count(*distinct_count)});
+  if (answers.distinct_count) {
+    t.add_row({"distinct bands (final)", format_count(*answers.distinct_count)});
   }
-  if (threshold_above) {
+  if (const std::optional<std::uint64_t>& above = answers.threshold_above) {
     t.add_row({"threshold alert (T=" + format_count(spec.threshold) + ")",
-               std::string(*threshold_above > 0 ? "ALERT" : "quiet") + " (" +
-                   format_count(*threshold_above) + " above)"});
+               std::string(*above > 0 ? "ALERT" : "quiet") + " (" +
+                   format_count(*above) + " above)"});
   }
   print_table(t, out);
 }
@@ -105,7 +101,6 @@ int main(int argc, char** argv) {
   spec.stream.walk_step = 64;
 
   std::uint64_t hosts = 2;
-  std::uint64_t listen_port = 0;
   std::string bind_addr = "127.0.0.1";
   double link_loss = -1.0;
   std::uint64_t steps_flag = 1000;
@@ -171,17 +166,16 @@ int main(int argc, char** argv) {
 
     RunResult run;
     OutputSet output;
-    std::vector<Value> kselect_estimates;
-    std::optional<std::uint64_t> distinct_count;
-    std::optional<std::uint64_t> threshold_above;
+    net::QueryAnswers answers;
     std::uint64_t quiescence_errors = 0;
     std::string mode;
 
     if (opts.flags().has("listen")) {
       mode = "tcp";
-      listen_port = opts.flags().get_uint("listen", 0);
+      const std::uint16_t listen_port =
+          parse_port("listen", opts.flags().get_string("listen", ""), 0);
       net::TcpListener listener;
-      if (!listener.listen(static_cast<std::uint16_t>(listen_port), bind_addr)) {
+      if (!listener.listen(listen_port, bind_addr)) {
         std::cerr << "error: cannot listen on " << bind_addr << ":" << listen_port
                   << "\n";
         return 1;
@@ -199,8 +193,8 @@ int main(int argc, char** argv) {
         }
         auto link = std::make_unique<net::Link>(std::move(transport));
         if (loss > 0.0) {
-          link->set_loss(loss, Rng::derive(spec.faults.seed,
-                                           0xC0020000u + static_cast<std::uint32_t>(i)));
+          link->set_loss(loss, net::coordinator_link_loss_rng(
+                                   spec, static_cast<std::uint32_t>(i)));
         }
         links.push_back(std::move(link));
       }
@@ -209,21 +203,7 @@ int main(int argc, char** argv) {
       run = coord.run();
       output = coord.output();
       quiescence_errors = coord.quiescence_errors();
-      const MonitoringProtocol& protocol = coord.sim().protocol();
-      if (const QueryCapabilities* q =
-              capability_for(protocol, QueryKind::kKSelect)) {
-        for (std::size_t j = 1; j <= coord.sim().config().k; ++j) {
-          kselect_estimates.push_back(q->kselect(j));
-        }
-      }
-      if (const QueryCapabilities* q =
-              capability_for(protocol, QueryKind::kCountDistinct)) {
-        distinct_count = q->distinct_count();
-      }
-      if (const QueryCapabilities* q =
-              capability_for(protocol, QueryKind::kThreshold)) {
-        threshold_above = q->above_count();
-      }
+      answers = coord.answers();
     } else {
       mode = "inproc";
       net::InprocNetOptions net_opts;
@@ -240,15 +220,12 @@ int main(int argc, char** argv) {
       }
       run = rep.run;
       output = rep.output;
-      kselect_estimates = std::move(rep.kselect_estimates);
-      distinct_count = rep.distinct_count;
-      threshold_above = rep.threshold_above;
+      answers = rep;
       quiescence_errors = rep.quiescence_errors;
     }
 
-    report(run, spec, quiescence_errors, output, kselect_estimates,
-           distinct_count, threshold_above, static_cast<std::uint32_t>(hosts),
-           mode, out);
+    report(run, spec, quiescence_errors, output, answers,
+           static_cast<std::uint32_t>(hosts), mode, out);
 
     if (!out.telemetry_json.empty() &&
         telemetry::write_text_file(out.telemetry_json,

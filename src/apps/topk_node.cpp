@@ -13,7 +13,6 @@
 // Flag parsing, --help and the --markdown/--csv/--json/--telemetry output
 // semantics are shared with the other binaries via apps/options.hpp.
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
 #include <thread>
 
@@ -28,7 +27,6 @@ using namespace topkmon;
 
 int main(int argc, char** argv) {
   std::string connect = "127.0.0.1";
-  std::uint64_t port = 0;
   std::uint64_t host_index = 0;
   std::uint64_t hosts = 1;
   std::uint64_t connect_retries = 100;
@@ -36,7 +34,7 @@ int main(int argc, char** argv) {
 
   Options opts("topk_node", "networked-runtime node-host (data plane)");
   opts.add_string("connect", &connect, "coordinator address, HOST or HOST:PORT");
-  opts.add_uint("port", &port, "coordinator port (alternative to HOST:PORT)");
+  opts.note("port", "coordinator port (alternative to HOST:PORT)");
   opts.add_uint("host-index", &host_index, "this host's index in [0, hosts)");
   opts.add_uint("hosts", &hosts, "total number of node-hosts");
   opts.add_uint("connect-retries", &connect_retries,
@@ -49,12 +47,23 @@ int main(int argc, char** argv) {
     case Options::ParseResult::kOk: break;
   }
 
-  const auto colon = connect.rfind(':');
-  if (colon != std::string::npos) {
-    port = std::strtoull(connect.c_str() + colon + 1, nullptr, 10);
-    connect.resize(colon);
+  // A port in --connect HOST:PORT wins over --port; either must be a whole
+  // number in 1..65535, checked before any connection attempt.
+  std::uint16_t port = 0;
+  try {
+    if (opts.flags().has("port")) {
+      port = parse_port("port", opts.flags().get_string("port", ""), 1);
+    }
+    const auto colon = connect.rfind(':');
+    if (colon != std::string::npos) {
+      port = parse_port("connect", connect.substr(colon + 1), 1);
+      connect.resize(colon);
+    }
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
   }
-  if (port == 0 || port > 65535) {
+  if (port == 0) {
     std::cerr << "error: no coordinator port (use --connect HOST:PORT or --port)\n";
     return 1;
   }
@@ -66,7 +75,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<net::Transport> transport;
   for (std::uint64_t attempt = 0; !transport && attempt <= connect_retries;
        ++attempt) {
-    transport = net::tcp_connect(connect, static_cast<std::uint16_t>(port));
+    transport = net::tcp_connect(connect, port);
     if (!transport) std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   if (!transport) {

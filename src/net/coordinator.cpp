@@ -14,6 +14,10 @@ std::uint32_t shard_lo(std::size_t n, std::uint32_t hosts, std::uint32_t host) {
   return static_cast<std::uint32_t>(static_cast<std::uint64_t>(n) * host / hosts);
 }
 
+Rng coordinator_link_loss_rng(const RunSpec& spec, std::uint32_t host) {
+  return Rng::derive(spec.faults.seed, 0xC0020000u + host);
+}
+
 NetCoordinator::NetCoordinator(RunSpec spec, std::vector<std::unique_ptr<Link>> links)
     : spec_(std::move(spec)), links_(std::move(links)) {
   const std::string bad = validate_run_spec(spec_);
@@ -183,6 +187,22 @@ RunResult NetCoordinator::run() {
 
 const OutputSet& NetCoordinator::output() const { return sim_->protocol().output(); }
 
+QueryAnswers NetCoordinator::answers() const {
+  QueryAnswers a;
+  const MonitoringProtocol& protocol = sim_->protocol();
+  if (const QueryCapabilities* q = capability_for(protocol, QueryKind::kKSelect)) {
+    const std::size_t jmax = std::min(q->kselect_max_rank(), sim_->config().k);
+    for (std::size_t j = 1; j <= jmax; ++j) a.kselect_estimates.push_back(q->kselect(j));
+  }
+  if (const QueryCapabilities* q = capability_for(protocol, QueryKind::kCountDistinct)) {
+    a.distinct_count = q->distinct_count();
+  }
+  if (const QueryCapabilities* q = capability_for(protocol, QueryKind::kThreshold)) {
+    a.threshold_above = q->above_count();
+  }
+  return a;
+}
+
 const NetChannelStats& NetCoordinator::link_stats(std::uint32_t host) const {
   return link_of_host_.at(host)->stats();
 }
@@ -214,9 +234,7 @@ InprocNetReport run_networked_inproc(const RunSpec& spec,
     auto coord_link = std::make_unique<Link>(std::move(pair.a));
     auto node_link = std::make_unique<Link>(std::move(pair.b));
     if (loss > 0.0) {
-      // One frame-loss stream per link and direction, derived from the fault
-      // seed — independent of the model's message-loss stream (0x1055).
-      coord_link->set_loss(loss, Rng::derive(spec.faults.seed, 0xC0020000u + h));
+      coord_link->set_loss(loss, coordinator_link_loss_rng(spec, h));
       node_link->set_loss(loss, Rng::derive(spec.faults.seed, 0x10DE0000u + h));
     }
     for (const InprocNetOptions::ScriptedOutage& o : opts.outages) {
@@ -256,21 +274,7 @@ InprocNetReport run_networked_inproc(const RunSpec& spec,
   report.output = coordinator.output();
   report.quiescence_errors = coordinator.quiescence_errors();
   report.host_exit = std::move(exits);
-  const MonitoringProtocol& protocol = coordinator.sim().protocol();
-  if (const QueryCapabilities* q = capability_for(protocol, QueryKind::kKSelect)) {
-    const std::size_t jmax = std::min<std::size_t>(q->kselect_max_rank(),
-                                                   coordinator.sim().config().k);
-    for (std::size_t j = 1; j <= jmax; ++j) {
-      report.kselect_estimates.push_back(q->kselect(j));
-    }
-  }
-  if (const QueryCapabilities* q =
-          capability_for(protocol, QueryKind::kCountDistinct)) {
-    report.distinct_count = q->distinct_count();
-  }
-  if (const QueryCapabilities* q = capability_for(protocol, QueryKind::kThreshold)) {
-    report.threshold_above = q->above_count();
-  }
+  static_cast<QueryAnswers&>(report) = coordinator.answers();
   return report;
 }
 

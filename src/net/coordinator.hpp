@@ -42,6 +42,29 @@ namespace topkmon::net {
 /// Contiguous shard partition: host h of H owns [h·n/H, (h+1)·n/H).
 std::uint32_t shard_lo(std::size_t n, std::uint32_t hosts, std::uint32_t host);
 
+/// The frame-loss stream of the coordinator's end of host `host`'s link:
+/// one per link, derived from the fault seed — independent of the model's
+/// message-loss stream (0x1055) and of the node ends. Every coordinator
+/// mode arms its links with it.
+Rng coordinator_link_loss_rng(const RunSpec& spec, std::uint32_t host);
+
+/// The protocol's final answers beyond F(T), one per query kind it serves
+/// (sim/protocol.hpp QueryCapabilities). Bit-identical to a standalone
+/// Simulator's on a loss-free schedule, like the rest of the run.
+struct QueryAnswers {
+  /// kselect(1..min(max rank, k)) when the protocol serves
+  /// QueryKind::kKSelect; empty otherwise.
+  std::vector<Value> kselect_estimates;
+
+  /// Final count-distinct answer when the protocol serves
+  /// QueryKind::kCountDistinct; nullopt otherwise.
+  std::optional<std::uint64_t> distinct_count;
+
+  /// Final nodes-above-T count when the protocol serves
+  /// QueryKind::kThreshold; nullopt otherwise (alert ⇔ *threshold_above > 0).
+  std::optional<std::uint64_t> threshold_above;
+};
+
 class NetCoordinator {
  public:
   /// One link per node-host, in accept order; the Hello handshake maps links
@@ -61,6 +84,9 @@ class NetCoordinator {
 
   /// The protocol's final output F(T) (valid after run()).
   const OutputSet& output() const;
+
+  /// The protocol's final query answers (valid after run()).
+  QueryAnswers answers() const;
 
   /// Sum of the quiescence errors every host reported (0 on a correct run).
   std::uint64_t quiescence_errors() const { return quiescence_errors_; }
@@ -91,24 +117,12 @@ class NetCoordinator {
 /// In-process networked run: spawns `hosts` NodeHost threads over loopback
 /// links, runs the coordinator on the calling thread, joins everything.
 /// The differential oracle's entry point — same frames, zero sockets.
-struct InprocNetReport {
+/// The inherited QueryAnswers are the coordinator's final answers.
+struct InprocNetReport : QueryAnswers {
   RunResult run;          ///< coordinator result (net counters filled)
   OutputSet output;       ///< final F(T)
   std::uint64_t quiescence_errors = 0;
   std::vector<int> host_exit;  ///< per-host run() status (all 0 on success)
-  /// Final k-select estimates, kselect(1..k), when the protocol serves
-  /// QueryKind::kKSelect (sim/protocol.hpp QueryCapabilities); empty
-  /// otherwise. Bit-identical to a standalone Simulator's on a loss-free
-  /// schedule, like the rest of `run`.
-  std::vector<Value> kselect_estimates;
-
-  /// Final count-distinct answer when the protocol serves
-  /// QueryKind::kCountDistinct; nullopt otherwise.
-  std::optional<std::uint64_t> distinct_count;
-
-  /// Final nodes-above-T count when the protocol serves
-  /// QueryKind::kThreshold; nullopt otherwise (alert ⇔ *threshold_above > 0).
-  std::optional<std::uint64_t> threshold_above;
 };
 
 struct InprocNetOptions {

@@ -1,7 +1,9 @@
 #include "net/wire.hpp"
 
 #include <bit>
+#include <concepts>
 #include <cstring>
+#include <type_traits>
 #include <utility>
 
 namespace topkmon::net {
@@ -11,9 +13,6 @@ namespace {
 /// Containers on the wire are u32-count-prefixed; cap the count so a corrupt
 /// or hostile frame cannot ask the decoder to reserve gigabytes.
 constexpr std::uint32_t kMaxWireElements = 1u << 24;
-
-/// One FilterEntry on the wire: u32 node + f64 lo + f64 hi.
-constexpr std::size_t kFilterEntryBytes = 4 + 8 + 8;
 
 /// The wire is little-endian, so on a little-endian host a value block is
 /// its in-memory image and crosses in one memcpy.
@@ -47,11 +46,6 @@ std::string to_string(MsgType t) {
 }
 
 // ---------------------------------------------------------------- writer
-
-void WireWriter::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-}
 
 void WireWriter::u32(std::uint32_t v) {
   for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
@@ -97,19 +91,6 @@ void WireReader::need(std::size_t n) const {
     throw WireError("truncated payload: need " + std::to_string(n) + " bytes, have " +
                     std::to_string(data_.size() - pos_));
   }
-}
-
-std::uint8_t WireReader::u8() {
-  need(1);
-  return data_[pos_++];
-}
-
-std::uint16_t WireReader::u16() {
-  need(2);
-  std::uint16_t v = static_cast<std::uint16_t>(data_[pos_]) |
-                    static_cast<std::uint16_t>(data_[pos_ + 1]) << 8;
-  pos_ += 2;
-  return v;
 }
 
 std::uint32_t WireReader::u32() {
@@ -206,273 +187,223 @@ std::string validate_run_spec(const RunSpec& spec) {
   return "";
 }
 
+// ---------------------------------------------------------------- layouts
+// One field list per struct states its wire layout (see wire.hpp).
+
 namespace {
 
-void write_stream_spec(WireWriter& w, const StreamSpec& s) {
-  w.str(s.kind);
-  w.u64(s.n);
-  w.u64(s.k);
-  w.f64(s.epsilon);
-  w.u64(s.delta);
-  w.u64(s.sigma);
-  w.u64(s.walk_step);
-  w.f64(s.churn);
-  w.f64(s.drift);
-  w.str(s.trace_path);
+/// `M` is `T` or `const T`: the writer and the byte counter walk a const
+/// struct, the reader a mutable one.
+template <class M, class T>
+concept Like = std::same_as<std::remove_const_t<M>, T>;
+
+/// Counts the payload bytes WireWriter writes for the same field calls.
+struct WireSize {
+  std::size_t bytes = 0;
+  void u32(std::uint32_t) { bytes += 4; }
+  void u64(std::uint64_t) { bytes += 8; }
+  void i64(std::int64_t) { bytes += 8; }
+  void f64(double) { bytes += 8; }
+  void str(const std::string& s) { bytes += 4 + s.size(); }
+  void values(const ValueVector& v) { bytes += 4 + v.size() * sizeof(Value); }
+};
+
+/// Payload bytes of `m`. WireSize lives in this namespace, so the call below
+/// finds every field list in the file, also those declared further down.
+template <class M>
+std::size_t payload_bytes(const M& m) {
+  WireSize size;
+  fields(size, m);
+  return size.bytes;
 }
 
-StreamSpec read_stream_spec(WireReader& r) {
-  StreamSpec s;
-  s.kind = r.str();
-  s.n = r.u64();
-  s.k = r.u64();
-  s.epsilon = r.f64();
-  s.delta = r.u64();
-  s.sigma = r.u64();
-  s.walk_step = r.u64();
-  s.churn = r.f64();
-  s.drift = r.f64();
-  s.trace_path = r.str();
-  return s;
+/// One counter of StatsSnapshot::by_tag.
+void fields(auto& io, Like<std::uint64_t> auto& v) { io.u64(v); }
+
+void fields(auto& io, Like<FilterEntry> auto& e) {
+  io.u32(e.node);
+  io.f64(e.lo);
+  io.f64(e.hi);
 }
 
-void write_fault_config(WireWriter& w, const FaultConfig& f) {
-  w.f64(f.churn_rate);
-  w.f64(f.straggler_fraction);
-  w.u64(f.max_delay);
-  w.f64(f.loss);
-  w.i64(f.horizon);
-  w.u64(f.seed);
+/// A u32 count, then each element's field list. The reader checks a vector's
+/// count against the bytes left before sizing anything, and demands a fixed
+/// array's exact size.
+template <class Io, class C>
+void counted(Io& io, C& c) {
+  if constexpr (!std::is_same_v<Io, WireReader>) {
+    io.u32(static_cast<std::uint32_t>(c.size()));
+  } else {
+    const std::uint32_t n = io.u32();
+    if constexpr (requires { c.resize(n); }) {
+      if (n * payload_bytes(typename C::value_type{}) > io.remaining()) {
+        throw WireError("list count " + std::to_string(n) + " exceeds payload");
+      }
+      c.resize(n);
+    } else if (n != c.size()) {
+      throw WireError("count mismatch: got " + std::to_string(n) + ", want " +
+                      std::to_string(c.size()));
+    }
+  }
+  for (auto& e : c) fields(io, e);
 }
 
-FaultConfig read_fault_config(WireReader& r) {
-  FaultConfig f;
-  f.churn_rate = r.f64();
-  f.straggler_fraction = r.f64();
-  f.max_delay = r.u64();
-  f.loss = r.f64();
-  f.horizon = r.i64();
-  f.seed = r.u64();
-  return f;
+void fields(auto& io, Like<StreamSpec> auto& s) {
+  io.str(s.kind);
+  io.u64(s.n);
+  io.u64(s.k);
+  io.f64(s.epsilon);
+  io.u64(s.delta);
+  io.u64(s.sigma);
+  io.u64(s.walk_step);
+  io.f64(s.churn);
+  io.f64(s.drift);
+  io.str(s.trace_path);
 }
 
-void write_run_spec(WireWriter& w, const RunSpec& spec) {
-  write_stream_spec(w, spec.stream);
-  w.str(spec.protocol);
-  w.f64(spec.protocol_epsilon);
-  w.u64(spec.seed);
-  w.u64(spec.window);
-  w.i64(spec.steps);
-  w.u64(spec.threshold);
-  write_fault_config(w, spec.faults);
+void fields(auto& io, Like<FaultConfig> auto& f) {
+  io.f64(f.churn_rate);
+  io.f64(f.straggler_fraction);
+  io.u64(f.max_delay);
+  io.f64(f.loss);
+  io.i64(f.horizon);
+  io.u64(f.seed);
 }
 
-RunSpec read_run_spec(WireReader& r) {
-  RunSpec spec;
-  spec.stream = read_stream_spec(r);
-  spec.protocol = r.str();
-  spec.protocol_epsilon = r.f64();
-  spec.seed = r.u64();
-  spec.window = r.u64();
-  spec.steps = r.i64();
-  spec.threshold = r.u64();
-  spec.faults = read_fault_config(r);
-  return spec;
+void fields(auto& io, Like<RunSpec> auto& spec) {
+  fields(io, spec.stream);
+  io.str(spec.protocol);
+  io.f64(spec.protocol_epsilon);
+  io.u64(spec.seed);
+  io.u64(spec.window);
+  io.i64(spec.steps);
+  io.u64(spec.threshold);
+  fields(io, spec.faults);
+}
+
+/// The full StatsSnapshot: totals, kinds, per-tag counters (count-checked),
+/// rounds, fault metrics, window metric and transport counters.
+void fields(auto& io, Like<StatsSnapshot> auto& s) {
+  io.u64(s.messages);
+  io.u64(s.node_to_server);
+  io.u64(s.server_to_node);
+  io.u64(s.broadcasts);
+  counted(io, s.by_tag);
+  io.u64(s.rounds);
+  io.u64(s.messages_lost);
+  io.u64(s.stale_reads);
+  io.u64(s.recovery_rounds);
+  io.u64(s.window_expirations);
+  io.u64(s.net.frames_sent);
+  io.u64(s.net.frames_recv);
+  io.u64(s.net.bytes_sent);
+  io.u64(s.net.bytes_recv);
+  io.u64(s.net.send_retries);
+  io.u64(s.net.reconnects);
+}
+
+void fields(auto& io, Like<HelloMsg> auto& m) {
+  io.u32(m.host_index);
+  io.u32(m.host_count);
+}
+
+void fields(auto& io, Like<ConfigMsg> auto& m) {
+  fields(io, m.spec);
+  io.u32(m.shard_lo);
+  io.u32(m.shard_hi);
+}
+
+void fields(auto& io, Like<StepBeginMsg> auto& m) {
+  io.i64(m.t);
+}
+
+void fields(auto& io, Like<ShardValuesMsg> auto& m) {
+  io.i64(m.t);
+  io.u32(m.lo);
+  io.values(m.values);
+  io.u64(m.stale);
+  io.u64(m.violations);
+}
+
+void fields(auto& io, Like<FilterUpdateMsg> auto& m) {
+  io.i64(m.t);
+  counted(io, m.filters);
+}
+
+void fields(auto& io, Like<StepAckMsg> auto& m) {
+  io.i64(m.t);
+  io.u64(m.quiescence_errors);
+}
+
+void fields(auto& io, Like<ShutdownMsg> auto& m) {
+  fields(io, m.stats);
+}
+
+using Bytes = std::vector<std::uint8_t>;
+
+template <class M>
+Bytes encode_frame(MsgType type, const M& m) {
+  WireWriter w(payload_bytes(m));
+  fields(w, m);
+  return std::move(w).frame(type);
+}
+
+template <class M>
+M decode_frame(const Frame& f, MsgType type) {
+  check_type(f, type);
+  WireReader r(f.payload);
+  M m;
+  fields(r, m);
+  r.expect_end();
+  return m;
 }
 
 }  // namespace
 
-// ---------------------------------------------------------------- stats
+// ---------------------------------------------------------------- messages
 
-void write_stats(WireWriter& w, const StatsSnapshot& s) {
-  w.u64(s.messages);
-  w.u64(s.node_to_server);
-  w.u64(s.server_to_node);
-  w.u64(s.broadcasts);
-  w.u32(static_cast<std::uint32_t>(s.by_tag.size()));
-  for (const std::uint64_t v : s.by_tag) w.u64(v);
-  w.u64(s.rounds);
-  w.u64(s.messages_lost);
-  w.u64(s.stale_reads);
-  w.u64(s.recovery_rounds);
-  w.u64(s.window_expirations);
-  w.u64(s.net.frames_sent);
-  w.u64(s.net.frames_recv);
-  w.u64(s.net.bytes_sent);
-  w.u64(s.net.bytes_recv);
-  w.u64(s.net.send_retries);
-  w.u64(s.net.reconnects);
+Bytes encode(const HelloMsg& m) {
+  return encode_frame(MsgType::kHello, m);
 }
-
-StatsSnapshot read_stats(WireReader& r) {
-  StatsSnapshot s;
-  s.messages = r.u64();
-  s.node_to_server = r.u64();
-  s.server_to_node = r.u64();
-  s.broadcasts = r.u64();
-  const std::uint32_t tags = r.u32();
-  if (tags != kNumMessageTags) {
-    throw WireError("stats tag-count mismatch: got " + std::to_string(tags) +
-                    ", want " + std::to_string(kNumMessageTags));
-  }
-  for (std::size_t t = 0; t < kNumMessageTags; ++t) s.by_tag[t] = r.u64();
-  s.rounds = r.u64();
-  s.messages_lost = r.u64();
-  s.stale_reads = r.u64();
-  s.recovery_rounds = r.u64();
-  s.window_expirations = r.u64();
-  s.net.frames_sent = r.u64();
-  s.net.frames_recv = r.u64();
-  s.net.bytes_sent = r.u64();
-  s.net.bytes_recv = r.u64();
-  s.net.send_retries = r.u64();
-  s.net.reconnects = r.u64();
-  return s;
+Bytes encode(const ConfigMsg& m) {
+  return encode_frame(MsgType::kConfig, m);
 }
-
-// ---------------------------------------------------------------- encoders
-
-std::vector<std::uint8_t> encode(const HelloMsg& m) {
-  WireWriter w;
-  w.u32(m.host_index);
-  w.u32(m.host_count);
-  return std::move(w).frame(MsgType::kHello);
+Bytes encode(const StepBeginMsg& m) {
+  return encode_frame(MsgType::kStepBegin, m);
 }
-
-std::vector<std::uint8_t> encode(const ConfigMsg& m) {
-  WireWriter w;
-  write_run_spec(w, m.spec);
-  w.u32(m.shard_lo);
-  w.u32(m.shard_hi);
-  return std::move(w).frame(MsgType::kConfig);
+Bytes encode(const ShardValuesMsg& m) {
+  return encode_frame(MsgType::kShardValues, m);
 }
-
-std::vector<std::uint8_t> encode(const StepBeginMsg& m) {
-  WireWriter w;
-  w.i64(m.t);
-  return std::move(w).frame(MsgType::kStepBegin);
+Bytes encode(const FilterUpdateMsg& m) {
+  return encode_frame(MsgType::kFilterUpdate, m);
 }
-
-std::vector<std::uint8_t> encode(const ShardValuesMsg& m) {
-  WireWriter w;
-  // t, lo, count, values, stale, violations: one allocation for the frame.
-  w.reserve(8 + 4 + 4 + m.values.size() * sizeof(Value) + 8 + 8);
-  w.i64(m.t);
-  w.u32(m.lo);
-  w.values(m.values);
-  w.u64(m.stale);
-  w.u64(m.violations);
-  return std::move(w).frame(MsgType::kShardValues);
+Bytes encode(const StepAckMsg& m) {
+  return encode_frame(MsgType::kStepAck, m);
 }
-
-std::vector<std::uint8_t> encode(const FilterUpdateMsg& m) {
-  WireWriter w;
-  w.i64(m.t);
-  w.u32(static_cast<std::uint32_t>(m.filters.size()));
-  for (const FilterEntry& f : m.filters) {
-    w.u32(f.node);
-    w.f64(f.lo);
-    w.f64(f.hi);
-  }
-  return std::move(w).frame(MsgType::kFilterUpdate);
+Bytes encode(const ShutdownMsg& m) {
+  return encode_frame(MsgType::kShutdown, m);
 }
-
-std::vector<std::uint8_t> encode(const StepAckMsg& m) {
-  WireWriter w;
-  w.i64(m.t);
-  w.u64(m.quiescence_errors);
-  return std::move(w).frame(MsgType::kStepAck);
-}
-
-std::vector<std::uint8_t> encode(const ShutdownMsg& m) {
-  WireWriter w;
-  write_stats(w, m.stats);
-  return std::move(w).frame(MsgType::kShutdown);
-}
-
-// ---------------------------------------------------------------- decoders
 
 HelloMsg decode_hello(const Frame& f) {
-  check_type(f, MsgType::kHello);
-  WireReader r(f.payload);
-  HelloMsg m;
-  m.host_index = r.u32();
-  m.host_count = r.u32();
-  r.expect_end();
-  return m;
+  return decode_frame<HelloMsg>(f, MsgType::kHello);
 }
-
 ConfigMsg decode_config(const Frame& f) {
-  check_type(f, MsgType::kConfig);
-  WireReader r(f.payload);
-  ConfigMsg m;
-  m.spec = read_run_spec(r);
-  m.shard_lo = r.u32();
-  m.shard_hi = r.u32();
-  r.expect_end();
-  return m;
+  return decode_frame<ConfigMsg>(f, MsgType::kConfig);
 }
-
 StepBeginMsg decode_step_begin(const Frame& f) {
-  check_type(f, MsgType::kStepBegin);
-  WireReader r(f.payload);
-  StepBeginMsg m;
-  m.t = r.i64();
-  r.expect_end();
-  return m;
+  return decode_frame<StepBeginMsg>(f, MsgType::kStepBegin);
 }
-
 ShardValuesMsg decode_shard_values(const Frame& f) {
-  check_type(f, MsgType::kShardValues);
-  WireReader r(f.payload);
-  ShardValuesMsg m;
-  m.t = r.i64();
-  m.lo = r.u32();
-  m.values = r.values();
-  m.stale = r.u64();
-  m.violations = r.u64();
-  r.expect_end();
-  return m;
+  return decode_frame<ShardValuesMsg>(f, MsgType::kShardValues);
 }
-
 FilterUpdateMsg decode_filter_update(const Frame& f) {
-  check_type(f, MsgType::kFilterUpdate);
-  WireReader r(f.payload);
-  FilterUpdateMsg m;
-  m.t = r.i64();
-  const std::uint32_t count = r.u32();
-  // Check the claim against the bytes actually present before sizing the
-  // vector: a short frame must not be able to demand a huge allocation.
-  if (std::size_t{count} * kFilterEntryBytes > r.remaining()) {
-    throw WireError("filter count " + std::to_string(count) + " exceeds payload");
-  }
-  m.filters.resize(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    m.filters[i].node = r.u32();
-    m.filters[i].lo = r.f64();
-    m.filters[i].hi = r.f64();
-  }
-  r.expect_end();
-  return m;
+  return decode_frame<FilterUpdateMsg>(f, MsgType::kFilterUpdate);
 }
-
 StepAckMsg decode_step_ack(const Frame& f) {
-  check_type(f, MsgType::kStepAck);
-  WireReader r(f.payload);
-  StepAckMsg m;
-  m.t = r.i64();
-  m.quiescence_errors = r.u64();
-  r.expect_end();
-  return m;
+  return decode_frame<StepAckMsg>(f, MsgType::kStepAck);
 }
-
 ShutdownMsg decode_shutdown(const Frame& f) {
-  check_type(f, MsgType::kShutdown);
-  WireReader r(f.payload);
-  ShutdownMsg m;
-  m.stats = read_stats(r);
-  r.expect_end();
-  return m;
+  return decode_frame<ShutdownMsg>(f, MsgType::kShutdown);
 }
 
 }  // namespace topkmon::net

@@ -17,8 +17,14 @@
 // expected to be rebuilt. The version check runs before any payload decode,
 // so mixed-build deployments fail fast instead of misparsing.
 //
+// Layouts: each struct's payload layout is stated once, as its field list in
+// wire.cpp (`fields(io, m)`). WireWriter walks the list to encode, WireReader
+// to decode, and a byte counter to size the frame before it is written, so a
+// new field is one line in its struct's list (plus the version bump).
+//
 // Decoding is bounds-checked: truncated or trailing-garbage payloads throw
-// WireError rather than reading out of range (fuzzed in tests/test_wire.cpp).
+// WireError rather than reading out of range (byte-mutation fuzzed over every
+// decoder in tests/test_wire.cpp).
 #pragma once
 
 #include <cstdint>
@@ -61,11 +67,13 @@ std::string to_string(MsgType t);
 /// [len][version][type][payload] frame without copying the payload.
 class WireWriter {
  public:
-  /// Room for `bytes` more payload bytes without reallocating.
-  void reserve(std::size_t bytes) { buf_.reserve(buf_.size() + bytes); }
+  /// Reserves the whole frame for `payload_bytes` of payload: a frame sized
+  /// up front is built in one allocation.
+  explicit WireWriter(std::size_t payload_bytes = 0) {
+    buf_.reserve(kHeaderBytes + payload_bytes);
+    buf_.resize(kHeaderBytes);
+  }
 
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
@@ -80,7 +88,7 @@ class WireWriter {
   static constexpr std::size_t kHeaderBytes = 4 + 2 + 2;  ///< len + version + type
 
  private:
-  std::vector<std::uint8_t> buf_ = std::vector<std::uint8_t>(kHeaderBytes);
+  std::vector<std::uint8_t> buf_;
 };
 
 /// Bounds-checked little-endian decoder over one payload span.
@@ -88,14 +96,20 @@ class WireReader {
  public:
   explicit WireReader(std::span<const std::uint8_t> data) : data_(data) {}
 
-  std::uint8_t u8();
-  std::uint16_t u16();
   std::uint32_t u32();
   std::uint64_t u64();
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64();
   std::string str();
   ValueVector values();
+
+  // The same calls reading into a field, as wire.cpp's field lists make them.
+  void u32(std::uint32_t& v) { v = u32(); }
+  void u64(std::uint64_t& v) { v = u64(); }
+  void i64(std::int64_t& v) { v = i64(); }
+  void f64(double& v) { v = f64(); }
+  void str(std::string& s) { s = str(); }
+  void values(ValueVector& v) { v = values(); }
 
   std::size_t remaining() const { return data_.size() - pos_; }
   /// Throws WireError unless the payload was consumed exactly.
@@ -231,12 +245,5 @@ ShardValuesMsg decode_shard_values(const Frame& f);
 FilterUpdateMsg decode_filter_update(const Frame& f);
 StepAckMsg decode_step_ack(const Frame& f);
 ShutdownMsg decode_shutdown(const Frame& f);
-
-// StatsSnapshot (sim/stats_snapshot.hpp) payload codec — shared by
-// ShutdownMsg and any future stats-bearing message. Serializes the full
-// block: totals, kinds, per-tag counters, rounds, fault metrics, window
-// metric and transport counters.
-void write_stats(WireWriter& w, const StatsSnapshot& s);
-StatsSnapshot read_stats(WireReader& r);
 
 }  // namespace topkmon::net

@@ -1,14 +1,19 @@
 // Wire-format tests (ctest label: net): every message round-trips through
 // encode → parse_frame → decode, and malformed frames — wrong version,
 // unknown type, truncation, trailing bytes, type mismatch — throw WireError
-// instead of misparsing.
+// instead of misparsing. A byte-mutation fuzz drives every decoder with
+// hostile variants of one valid frame per message type.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <iostream>
 #include <utility>
 #include <vector>
 
 #include "net/wire.hpp"
 #include "util/alloc_counter.hpp"
+#include "util/rng.hpp"
 
 namespace topkmon::net {
 namespace {
@@ -60,10 +65,25 @@ StatsSnapshot sample_stats() {
   return s;
 }
 
+/// The message of Wire.ShardValuesGoldenBytes.
+ShardValuesMsg golden_shard_values() {
+  ShardValuesMsg m;
+  m.t = 17;
+  m.lo = 8;
+  m.values = {5, 0, 1ull << 40, 3};
+  m.stale = 2;
+  m.violations = 1;
+  return m;
+}
+
+/// Rewrites the length prefix to match the buffer, so parse_frame accepts it.
+void patch_length(std::vector<std::uint8_t>& frame) {
+  const std::uint32_t len = static_cast<std::uint32_t>(frame.size() - 4);
+  for (int i = 0; i < 4; ++i) frame[i] = static_cast<std::uint8_t>(len >> (8 * i));
+}
+
 TEST(Wire, PrimitivesRoundTrip) {
   WireWriter w;
-  w.u8(0xAB);
-  w.u16(0xBEEF);
   w.u32(0xDEADBEEFu);
   w.u64(0x0123456789ABCDEFull);
   w.i64(-42);
@@ -75,8 +95,6 @@ TEST(Wire, PrimitivesRoundTrip) {
   const Frame f = parse_frame(frame);
   EXPECT_EQ(f.type, MsgType::kHello);
   WireReader r(f.payload);
-  EXPECT_EQ(r.u8(), 0xAB);
-  EXPECT_EQ(r.u16(), 0xBEEF);
   EXPECT_EQ(r.u32(), 0xDEADBEEFu);
   EXPECT_EQ(r.u64(), 0x0123456789ABCDEFull);
   EXPECT_EQ(r.i64(), -42);
@@ -118,12 +136,7 @@ TEST(Wire, ShardValuesRoundTrips) {
 TEST(Wire, ShardValuesGoldenBytes) {
   // The exact little-endian frame, independent of how the codec is written:
   // [len 68][version 2][type 4] t=17, lo=8, count 4, values, stale, violations.
-  ShardValuesMsg m;
-  m.t = 17;
-  m.lo = 8;
-  m.values = {5, 0, 1ull << 40, 3};
-  m.stale = 2;
-  m.violations = 1;
+  const ShardValuesMsg m = golden_shard_values();
   const std::vector<std::uint8_t> golden = {
       0x44, 0, 0, 0, 0x02, 0, 0x04, 0,           // header
       0x11, 0, 0, 0, 0, 0, 0, 0,                 // t
@@ -191,11 +204,7 @@ TEST(Wire, RejectsTrailingBytes) {
   // accepts the frame and the tail check is what fires.
   std::vector<std::uint8_t> frame = encode(StepAckMsg{1, 2});
   frame.push_back(0xCC);
-  const std::uint32_t len = static_cast<std::uint32_t>(frame.size() - 4);
-  frame[0] = static_cast<std::uint8_t>(len);
-  frame[1] = static_cast<std::uint8_t>(len >> 8);
-  frame[2] = static_cast<std::uint8_t>(len >> 16);
-  frame[3] = static_cast<std::uint8_t>(len >> 24);
+  patch_length(frame);
   EXPECT_THROW(decode_step_ack(parse_frame(frame)), WireError);
 }
 
@@ -228,6 +237,88 @@ TEST(Wire, DecodersRejectTheWrongType) {
   EXPECT_THROW(decode_filter_update(parse_frame(hello)), WireError);
   EXPECT_THROW(decode_step_ack(parse_frame(hello)), WireError);
   EXPECT_THROW(decode_shutdown(parse_frame(hello)), WireError);
+}
+
+/// Decodes `frame` with the decoder its header names and encodes the result
+/// again. Throws WireError when the frame is malformed.
+std::vector<std::uint8_t> reencode(const std::vector<std::uint8_t>& frame) {
+  const Frame f = parse_frame(frame);
+  switch (f.type) {
+    case MsgType::kHello: return encode(decode_hello(f));
+    case MsgType::kConfig: return encode(decode_config(f));
+    case MsgType::kStepBegin: return encode(decode_step_begin(f));
+    case MsgType::kShardValues: return encode(decode_shard_values(f));
+    case MsgType::kFilterUpdate: return encode(decode_filter_update(f));
+    case MsgType::kStepAck: return encode(decode_step_ack(f));
+    case MsgType::kShutdown: return encode(decode_shutdown(f));
+  }
+  ADD_FAILURE() << "parse_frame passed unknown type " << to_string(f.type);
+  return {};
+}
+
+TEST(Wire, MutatedFramesDecodeOrThrowWireError) {
+  // One valid frame per MsgType, in MsgType order.
+  const std::vector<std::vector<std::uint8_t>> corpus = {
+      encode(HelloMsg{3, 8}),
+      encode(ConfigMsg{sample_spec(), 6, 12}),
+      encode(StepBeginMsg{987654321}),
+      encode(golden_shard_values()),
+      encode(FilterUpdateMsg{3, {{0, 1.5, 7.25}, {11, -1e18, 1e18}}}),
+      encode(StepAckMsg{55, 4}),
+      encode(ShutdownMsg{sample_stats()}),
+  };
+
+  std::vector<std::vector<std::uint8_t>> mutants;
+  Rng rng(0x5EEDF00D);
+  for (const std::vector<std::uint8_t>& frame : corpus) {
+    for (std::size_t len = 0; len < frame.size(); ++len) {  // strict prefixes
+      mutants.emplace_back(frame.begin(), frame.begin() + len);
+    }
+    for (std::size_t bit = 0; bit < 8 * frame.size(); ++bit) {  // bit flips
+      mutants.push_back(frame);
+      mutants.back()[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    }
+    for (int i = 0; i < 512; ++i) {  // random runs of 2..8 overwritten bytes
+      std::vector<std::uint8_t> m = frame;
+      const std::size_t at = rng.below(m.size());
+      const std::size_t end = std::min(m.size(), at + 2 + rng.below(7));
+      for (std::size_t j = at; j < end; ++j) {
+        m[j] = static_cast<std::uint8_t>(rng.next_u64());
+      }
+      mutants.push_back(std::move(m));
+    }
+  }
+  for (const std::vector<std::uint8_t>& a : corpus) {  // header of A, payload of B
+    for (const std::vector<std::uint8_t>& b : corpus) {
+      if (&a == &b) continue;
+      std::vector<std::uint8_t> m(a.begin(), a.begin() + WireWriter::kHeaderBytes);
+      m.insert(m.end(), b.begin() + WireWriter::kHeaderBytes, b.end());
+      patch_length(m);
+      mutants.push_back(std::move(m));
+    }
+  }
+
+  // Every mutant is rejected with WireError — no other exception — or is a
+  // frame the codec itself would write: a field list that reads differently
+  // from how it writes fails the byte comparison.
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < mutants.size(); ++i) {
+    try {
+      EXPECT_EQ(reencode(mutants[i]), mutants[i]) << "mutant " << i;
+      ++accepted;
+    } catch (const WireError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " threw a non-WireError: " << e.what();
+    }
+  }
+  std::cout << "[ mutants  ] " << mutants.size() << " total, " << accepted
+            << " accepted, " << rejected << " rejected\n";
+  EXPECT_EQ(accepted + rejected, mutants.size());
+  // Pinned: a decoder that turns stricter or more lenient moves the split.
+  EXPECT_EQ(accepted, 6606u);
+  EXPECT_EQ(rejected, 2294u);
 }
 
 TEST(Wire, ValidateRunSpecRejectsAdaptiveStreamsAndDegenerateParams) {
