@@ -51,9 +51,10 @@ struct ExperimentResult {
 };
 
 /// One trial's raw outcome — the unit of the sweep runner's (cell × trial)
-/// work-stealing grid. Trials of a cell are independent (each derives its
-/// own seeds), so they can run on any worker in any order; folding them back
-/// in trial order (accumulate_trial) reproduces the serial run bit-for-bit.
+/// task grid, one parallel_for index per task. Trials of a cell are
+/// independent (each derives its own seeds), so they can run on any worker
+/// in any order; folding them back in trial order (accumulate_trial)
+/// reproduces the serial run bit-for-bit.
 struct TrialOutcome {
   RunResult run;
   std::uint64_t opt_phases = 0;  ///< meaningful iff has_opt

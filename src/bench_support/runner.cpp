@@ -152,12 +152,12 @@ std::vector<ExperimentResult> run_sweep(const std::vector<SweepRow>& rows,
   }
 
   // (cell × trial) task grid: every trial of every cell — solo or grouped —
-  // is one independent unit for the work-stealing loop. Each task derives
+  // is one independent index of the pool's parallel_for. Each task derives
   // its own RNG streams and writes into its own preassigned (row, trial)
   // slots — a grouped task fills one slot per cell of its group — and each
   // row folds its slots through accumulate_trial on the caller thread in
   // trial order, so results are bit-identical to run_experiment whatever
-  // the worker count or steal pattern.
+  // the worker count or claim order.
   struct Task {
     std::size_t index;  ///< solo: row index; grouped: group index
     std::size_t trial;
@@ -181,7 +181,7 @@ std::vector<ExperimentResult> run_sweep(const std::vector<SweepRow>& rows,
 
   ThreadPool pool(threads);
   std::mutex sink_mutex;
-  parallel_for_ws(pool, tasks.size(), [&](std::size_t i) {
+  parallel_for(pool, tasks.size(), [&](std::size_t i) {
     const Task task = tasks[i];
     // Worker-local profiler (single-writer), folded into the shared sink
     // under a lock after the trial; null stays a no-op end to end.

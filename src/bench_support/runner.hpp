@@ -33,7 +33,7 @@ struct SweepRow {
 /// times its run into a worker-local profiler — solo trials directly,
 /// engine-grouped trials through the engine's own telemetry — and the locals
 /// are merged into the sink's profiler under a lock, so the aggregate is
-/// deterministic in totals regardless of the steal pattern. Results are
+/// deterministic in totals regardless of the claim order. Results are
 /// bit-identical with or without a sink.
 std::vector<ExperimentResult> run_sweep(const std::vector<SweepRow>& rows,
                                         std::size_t threads = 0,

@@ -105,8 +105,9 @@ void MonitoringEngine::ensure_started() {
   }
   pending_.clear();
 
-  if (threads > 1 && shard_count > 1) {
-    pool_ = std::make_unique<ThreadPool>(threads);
+  if (shard_count > 1) {
+    // One worker per shard: every woken worker has a shard to advance.
+    pool_ = std::make_unique<ThreadPool>(shard_count);
   }
   if (telemetry_ != nullptr) {
     // One single-writer profiler per shard; export merges them with the

@@ -55,7 +55,7 @@ class TelemetrySink;
 namespace topkmon {
 
 struct EngineConfig {
-  std::size_t threads = 0;  ///< worker threads; 0 = hardware concurrency
+  std::size_t threads = 0;  ///< max worker threads (≤ one per query); 0 = hardware concurrency
   std::uint64_t seed = 1;
   bool share_probes = true;     ///< batch probe_top across queries per step
   bool record_history = false;  ///< keep snapshot history (offline OPT input)
@@ -170,7 +170,7 @@ class MonitoringEngine {
   /// handle -> (shard index, position within shard); valid once started.
   std::vector<std::pair<std::size_t, std::size_t>> locate_;
 
-  std::unique_ptr<ThreadPool> pool_;  ///< null = run shards inline
+  std::unique_ptr<ThreadPool> pool_;  ///< one worker per shard; null = run shards inline
   std::vector<ValueVector> history_;
   TimeStep next_t_ = 0;
   double elapsed_sec_ = 0.0;

@@ -5,7 +5,6 @@
 #include "model/oracle.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/assert.hpp"
-#include "util/log.hpp"
 
 namespace topkmon {
 

@@ -9,8 +9,8 @@ ThreadPool::ThreadPool(std::size_t threads) {
     threads = std::thread::hardware_concurrency();
   }
   // Clamp to at least one worker unconditionally: hardware_concurrency() may
-  // legitimately report 0, and a pool with zero workers would leave every
-  // submitted task queued forever — wait_idle() then hangs instead of failing.
+  // legitimately report 0, and a pool with zero workers would never claim an
+  // index — parallel_for would then hang instead of failing.
   threads = std::max<std::size_t>(1, threads);
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
@@ -23,155 +23,53 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  cv_task_.notify_all();
+  cv_start_.notify_all();
   for (auto& w : workers_) {
     w.join();
   }
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push(std::move(task));
-    ++in_flight_;
-  }
-  cv_task_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
 void ThreadPool::worker_loop() {
+  std::uint64_t seen = 0;
   for (;;) {
-    std::function<void()> task;
+    const Body* body = nullptr;
+    std::size_t count = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_task_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stop_) return;
-        continue;
-      }
-      task = std::move(queue_.front());
-      queue_.pop();
+      cv_start_.wait(lock, [&] { return stop_ || generation_ != seen; });
+      if (stop_) return;
+      seen = generation_;
+      body = body_;
+      count = count_;
     }
-    task();
+    // Every claim of this loop happens before this worker's decrement
+    // below, and the caller resets next_ only once all workers decremented,
+    // so no claim ever reads the next loop's counter.
+    for (std::size_t i = next_.fetch_add(1); i < count; i = next_.fetch_add(1)) {
+      (*body)(i);
+    }
     {
       std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) {
-        cv_idle_.notify_all();
-      }
+      if (--running_ != 0) continue;
     }
+    cv_done_.notify_one();  // the last worker out wakes the caller
   }
 }
 
-void parallel_for(ThreadPool& pool, std::size_t count,
-                  const std::function<void(std::size_t)>& body) {
-  for (std::size_t i = 0; i < count; ++i) {
-    pool.submit([i, &body] { body(i); });
-  }
-  pool.wait_idle();
-}
-
-void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body) {
-  ThreadPool pool;
-  parallel_for(pool, count, body);
-}
-
-namespace {
-
-/// One worker's [begin, end) index range packed into a single atomic word so
-/// claims and steals are lock-free CAS exchanges. A successful CAS against
-/// the *current* value transfers ownership of exactly the indices it names,
-/// so no index is ever run twice or lost, whatever the interleaving.
-using PackedRange = std::uint64_t;
-
-constexpr PackedRange pack_range(std::uint32_t begin, std::uint32_t end) {
-  return (static_cast<PackedRange>(begin) << 32) | end;
-}
-constexpr std::uint32_t range_begin(PackedRange r) {
-  return static_cast<std::uint32_t>(r >> 32);
-}
-constexpr std::uint32_t range_end(PackedRange r) {
-  return static_cast<std::uint32_t>(r);
-}
-
-}  // namespace
-
-void parallel_for_ws(ThreadPool& pool, std::size_t count,
-                     const std::function<void(std::size_t)>& body) {
+void parallel_for(ThreadPool& pool, std::size_t count, const ThreadPool::Body& body) {
   if (count == 0) return;
-  if (count == 1) {
-    // A single index cannot balance; skip the machinery (and keep callers
-    // on the exact same worker-thread execution the general path uses).
-    parallel_for(pool, 1, body);
-    return;
+  {
+    std::lock_guard<std::mutex> lock(pool.mu_);
+    pool.body_ = &body;
+    pool.count_ = count;
+    pool.next_.store(0);
+    pool.running_ = pool.workers_.size();
+    ++pool.generation_;
   }
-  const std::size_t workers = std::min(pool.thread_count(), count);
-  std::vector<std::atomic<PackedRange>> ranges(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    // Contiguous pre-split: chunk w covers [w·count/W, (w+1)·count/W).
-    const std::uint32_t begin = static_cast<std::uint32_t>(w * count / workers);
-    const std::uint32_t end = static_cast<std::uint32_t>((w + 1) * count / workers);
-    ranges[w].store(pack_range(begin, end), std::memory_order_relaxed);
-  }
-
-  // Claims one index off the front of `r`; returns false when empty.
-  const auto claim_front = [](std::atomic<PackedRange>& r, std::uint32_t* out) {
-    PackedRange cur = r.load(std::memory_order_acquire);
-    for (;;) {
-      const std::uint32_t b = range_begin(cur);
-      const std::uint32_t e = range_end(cur);
-      if (b >= e) return false;
-      if (r.compare_exchange_weak(cur, pack_range(b + 1, e),
-                                  std::memory_order_acq_rel)) {
-        *out = b;
-        return true;
-      }
-    }
-  };
-
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.submit([w, workers, &ranges, &body, &claim_front] {
-      std::uint32_t i = 0;
-      for (;;) {
-        // Drain the own chunk first: contiguous indices, no contention.
-        while (claim_front(ranges[w], &i)) {
-          body(i);
-        }
-        // Steal half of the largest remaining victim range (from its tail,
-        // so the victim keeps its cache-warm front).
-        std::size_t victim = workers;
-        std::uint32_t best = 0;
-        for (std::size_t v = 0; v < workers; ++v) {
-          if (v == w) continue;
-          const PackedRange cur = ranges[v].load(std::memory_order_acquire);
-          const std::uint32_t avail = range_end(cur) - range_begin(cur);
-          if (range_begin(cur) < range_end(cur) && avail > best) {
-            best = avail;
-            victim = v;
-          }
-        }
-        if (victim == workers) return;  // nothing left anywhere
-        PackedRange cur = ranges[victim].load(std::memory_order_acquire);
-        const std::uint32_t b = range_begin(cur);
-        const std::uint32_t e = range_end(cur);
-        if (b >= e) continue;  // drained meanwhile; rescan
-        const std::uint32_t take = (e - b + 1) / 2;
-        if (!ranges[victim].compare_exchange_strong(
-                cur, pack_range(b, e - take), std::memory_order_acq_rel)) {
-          continue;  // lost the race; rescan
-        }
-        // Install the stolen tail as the own chunk (it is empty right now,
-        // and an empty chunk admits no concurrent steal), then loop back to
-        // drain it — other workers may steal from it in turn.
-        ranges[w].store(pack_range(e - take, e), std::memory_order_release);
-      }
-    });
-  }
-  pool.wait_idle();
+  // Notify after unlocking, so woken workers do not block on the mutex.
+  pool.cv_start_.notify_all();
+  std::unique_lock<std::mutex> lock(pool.mu_);
+  pool.cv_done_.wait(lock, [&pool] { return pool.running_ == 0; });
 }
 
 }  // namespace topkmon

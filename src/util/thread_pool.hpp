@@ -1,19 +1,15 @@
-// Minimal thread pool + parallel_for, plus a work-stealing indexed loop.
+// Fork-join thread pool: a fixed team of workers that runs one indexed loop
+// at a time.
 //
-// Used by the bench harness to evaluate independent experiment (cell×trial)
-// tasks in parallel. Each task derives its own Rng stream, so parallel
-// execution is deterministic regardless of scheduling order.
+// parallel_for publishes the loop body and index count, wakes the team, and
+// blocks until every worker has finished. Workers claim indices one at a time
+// from a single shared atomic counter, so skewed per-index costs rebalance on
+// their own: a worker busy on a slow index holds no other index. Starting a
+// loop allocates nothing, which keeps the engine's threaded step alloc-free.
 //
-// Two loop flavors:
-//   * parallel_for        — one queued closure per index; every claim takes
-//     the pool's global lock. Fine for a handful of long tasks.
-//   * parallel_for_ws     — work-stealing: the index range is pre-split into
-//     one contiguous chunk per worker, workers claim from their own chunk
-//     with a single CAS and steal half of a victim's remaining range when
-//     theirs runs dry. No per-index allocation, no global lock on the claim
-//     path, and skewed per-index costs (one slow cell among many fast ones)
-//     rebalance automatically. The sweep runner's (cell × trial) grid runs
-//     on this.
+// Callers (the engine's per-step shard advance, the sweep runner's
+// (cell × trial) grid) derive every index's randomness from the index itself,
+// so results are deterministic regardless of which worker runs what.
 #pragma once
 
 #include <atomic>
@@ -22,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -30,46 +25,39 @@ namespace topkmon {
 
 class ThreadPool {
  public:
+  using Body = std::function<void(std::size_t)>;
+
   /// Spawns `threads` workers (0 = hardware concurrency). The worker count
-  /// is clamped to ≥ 1 in every case — a zero-worker pool would hang in
-  /// wait_idle() — so thread_count() ≥ 1 always holds.
+  /// is clamped to ≥ 1 in every case — a zero-worker pool would never finish
+  /// a loop — so thread_count() ≥ 1 always holds.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task; tasks must not throw (std::terminate otherwise).
-  void submit(std::function<void()> task);
-
-  /// Blocks until all submitted tasks have completed.
-  void wait_idle();
-
   std::size_t thread_count() const { return workers_.size(); }
 
  private:
+  friend void parallel_for(ThreadPool& pool, std::size_t count, const Body& body);
+
   void worker_loop();
 
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;
   std::mutex mu_;
-  std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
-  std::size_t in_flight_ = 0;
-  bool stop_ = false;
+  std::condition_variable cv_start_;
+  std::condition_variable cv_done_;
+  const Body* body_ = nullptr;    ///< current loop; guarded by mu_
+  std::size_t count_ = 0;         ///< current loop's index count; guarded by mu_
+  std::uint64_t generation_ = 0;  ///< bumped once per loop; guarded by mu_
+  std::size_t running_ = 0;       ///< workers not yet done; guarded by mu_
+  bool stop_ = false;             ///< guarded by mu_
+  std::atomic<std::size_t> next_{0};  ///< next unclaimed index
+  std::vector<std::thread> workers_;  ///< last: the workers use every member above
 };
 
-/// Runs body(i) for i in [0, count) across the pool; blocks until done.
-void parallel_for(ThreadPool& pool, std::size_t count,
-                  const std::function<void(std::size_t)>& body);
-
-/// Convenience: runs on a transient pool sized to hardware concurrency.
-void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body);
-
-/// Work-stealing variant (see file comment): every index runs exactly once,
-/// on some pool worker; blocks until done. `body` must not throw. Requires
-/// count < 2^32 (ranges are packed into one atomic word).
-void parallel_for_ws(ThreadPool& pool, std::size_t count,
-                     const std::function<void(std::size_t)>& body);
+/// Runs body(i) for every i in [0, count) exactly once, on the pool's
+/// workers; blocks until all have run. `body` must not throw. One loop at a
+/// time per pool: do not call concurrently or from inside `body`.
+void parallel_for(ThreadPool& pool, std::size_t count, const ThreadPool::Body& body);
 
 }  // namespace topkmon

@@ -58,6 +58,9 @@ TEST(HotPathAlloc, CounterObservesThisThreadsAllocations) {
   SKIP_WITHOUT_ALLOC_HOOK();
   AllocProbe probe;
   auto* p = new std::uint64_t[32];
+  // Escape the pointer: otherwise -O2 may elide the non-escaping new/delete
+  // pair and the probe sees no allocation at all.
+  asm volatile("" : : "g"(p) : "memory");
   EXPECT_GE(probe.delta(), 1u);
   EXPECT_GE(probe.delta_bytes(), 32 * sizeof(std::uint64_t));
   delete[] p;
@@ -153,6 +156,34 @@ TEST(HotPathAlloc, EngineQuiescentStepIsAllocFree) {
   SKIP_WITHOUT_ALLOC_HOOK();
   EngineConfig cfg;
   cfg.threads = 1;  // inline shards: every allocation lands on this thread
+  cfg.seed = 8;
+  MonitoringEngine engine(cfg, std::make_unique<ConstStream>(random_values(256, 8)));
+  for (std::size_t q = 0; q < 4; ++q) {
+    QuerySpec spec;
+    spec.protocol = "combined";
+    spec.k = 2 + q;
+    spec.epsilon = 0.1 + 0.02 * static_cast<double>(q);
+    spec.window = q % 2 == 0 ? kInfiniteWindow : 16;
+    engine.add_query(spec);
+  }
+  for (int i = 0; i < 40; ++i) {
+    engine.step();
+  }
+  AllocProbe probe;
+  for (int i = 0; i < 200; ++i) {
+    engine.step();
+  }
+  EXPECT_EQ(probe.delta(), 0u);
+}
+
+// The threaded engine keeps the invariant too: starting the pool's per-step
+// loop publishes the body and index count in place, so the caller thread
+// allocates nothing (shard work runs on the workers, whose allocations the
+// thread-local probe would not see — the threads = 1 cases cover those).
+TEST(HotPathAlloc, ThreadedEngineQuiescentStepIsAllocFree) {
+  SKIP_WITHOUT_ALLOC_HOOK();
+  EngineConfig cfg;
+  cfg.threads = 4;
   cfg.seed = 8;
   MonitoringEngine engine(cfg, std::make_unique<ConstStream>(random_values(256, 8)));
   for (std::size_t q = 0; q < 4; ++q) {

@@ -1,12 +1,12 @@
-// Sweep-runner determinism under the work-stealing (cell × trial) scheduler.
+// Sweep-runner determinism under the pool's fork-join (cell × trial) loop.
 //
-// run_sweep splits every cell's trials into independent tasks, runs them on
-// a work-stealing pool, and folds the per-trial outcomes back in (cell,
-// trial) order on the caller thread. The contract under test: results —
-// message counters, σ, rounds, opt phases, competitive ratios, the full
-// RunResult of the last trial — are bit-identical whatever the worker
-// count or steal pattern, and bit-identical to the serial run_experiment
-// fold for solo cells.
+// run_sweep splits every cell's trials into independent tasks, runs them as
+// one parallel_for index each (workers claim indices from a shared counter),
+// and folds the per-trial outcomes back in (cell, trial) order on the caller
+// thread. The contract under test: results — message counters, σ, rounds,
+// opt phases, competitive ratios, the full RunResult of the last trial — are
+// bit-identical whatever the worker count or claim order, and bit-identical
+// to the serial run_experiment fold for solo cells.
 #include "bench_support/runner.hpp"
 
 #include <gtest/gtest.h>

@@ -12,17 +12,15 @@ namespace {
 TEST(ThreadPool, RunsAllTasks) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
+  parallel_for(pool, 100, [&counter](std::size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
   ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
+  std::atomic<int> counter{0};
+  parallel_for(pool, 0, [&counter](std::size_t) { counter.fetch_add(1); });  // must not hang
+  EXPECT_EQ(counter.load(), 0);
 }
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {
@@ -34,12 +32,12 @@ TEST(ThreadPool, ParallelForCoversAllIndices) {
   }
 }
 
-TEST(ThreadPool, WorkStealingCoversAllIndicesExactlyOnce) {
+TEST(ThreadPool, CoversAllIndicesExactlyOnce) {
   for (const std::size_t threads : {1ul, 2ul, 3ul, 8ul}) {
     for (const std::size_t count : {0ul, 1ul, 2ul, 7ul, 64ul, 1000ul}) {
       ThreadPool pool(threads);
       std::vector<std::atomic<int>> hits(count);
-      parallel_for_ws(pool, count, [&](std::size_t i) { hits[i].fetch_add(1); });
+      parallel_for(pool, count, [&](std::size_t i) { hits[i].fetch_add(1); });
       for (std::size_t i = 0; i < count; ++i) {
         ASSERT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
       }
@@ -47,13 +45,13 @@ TEST(ThreadPool, WorkStealingCoversAllIndicesExactlyOnce) {
   }
 }
 
-TEST(ThreadPool, WorkStealingRebalancesSkewedTasks) {
-  // One pathologically slow index at the front of chunk 0: the remaining
-  // indices must still all run (stolen by the other workers) and the loop
-  // must terminate.
+TEST(ThreadPool, RebalancesSkewedTasks) {
+  // One pathologically slow index first: the worker stuck on it holds no
+  // other index, so the remaining ones must all run on the other workers and
+  // the loop must terminate.
   ThreadPool pool(4);
   std::atomic<int> done{0};
-  parallel_for_ws(pool, 64, [&](std::size_t i) {
+  parallel_for(pool, 64, [&](std::size_t i) {
     if (i == 0) {
       // Busy-wait until the others prove they are running concurrently, or
       // enough iterations pass that single-threaded execution also finishes.
@@ -65,11 +63,11 @@ TEST(ThreadPool, WorkStealingRebalancesSkewedTasks) {
   EXPECT_EQ(done.load(), 64);
 }
 
-TEST(ThreadPool, WorkStealingReusableAcrossBatches) {
+TEST(ThreadPool, ReusableAcrossLargeBatches) {
   ThreadPool pool(3);
   std::atomic<int> counter{0};
   for (int batch = 0; batch < 5; ++batch) {
-    parallel_for_ws(pool, 100, [&](std::size_t) { counter.fetch_add(1); });
+    parallel_for(pool, 100, [&](std::size_t) { counter.fetch_add(1); });
   }
   EXPECT_EQ(counter.load(), 500);
 }
@@ -86,11 +84,8 @@ TEST(ThreadPool, ReusableAcrossBatches) {
 TEST(ThreadPool, SingleThreadStillWorks) {
   ThreadPool pool(1);
   std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    pool.submit([&order, i] { order.push_back(i); });
-  }
-  pool.wait_idle();
-  // Single worker executes FIFO.
+  parallel_for(pool, 10, [&order](std::size_t i) { order.push_back(static_cast<int>(i)); });
+  // A single worker claims the shared counter in ascending order.
   std::vector<int> expected(10);
   std::iota(expected.begin(), expected.end(), 0);
   EXPECT_EQ(order, expected);
@@ -98,21 +93,19 @@ TEST(ThreadPool, SingleThreadStillWorks) {
 
 // threads=0 means "hardware concurrency", which the standard allows to
 // report 0; the pool must clamp to >= 1 worker in every case — a zero-worker
-// pool would leave submitted tasks queued forever and hang wait_idle().
+// pool would never claim an index and parallel_for would hang.
 TEST(ThreadPool, ZeroThreadRequestClampsToAtLeastOneWorker) {
   ThreadPool pool(0);
   EXPECT_GE(pool.thread_count(), 1u);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();  // must not hang
+  parallel_for(pool, 10, [&counter](std::size_t) { counter.fetch_add(1); });  // must not hang
   EXPECT_EQ(counter.load(), 10);
 }
 
-TEST(ThreadPool, TransientHelper) {
+TEST(ThreadPool, DefaultSizedPool) {
+  ThreadPool pool;
   std::atomic<int> counter{0};
-  parallel_for(64, [&](std::size_t) { counter.fetch_add(1); });
+  parallel_for(pool, 64, [&](std::size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 64);
 }
 
