@@ -130,7 +130,7 @@ void NetCoordinator::step(TimeStep t) {
   // Ship the step's filter deltas, shard by shard. Always send — an empty
   // update is the node-host's signal that the control phase is over.
   const std::vector<NodeId>& dirty = sim_->context().dirty_filters();
-  const std::span<const Node> nodes = sim_->context().nodes();
+  const NodeRange nodes = sim_->context().nodes();
   for (std::uint32_t h = 0; h < hosts; ++h) {
     const std::uint32_t lo = shard_lo(spec_.stream.n, hosts, h);
     const std::uint32_t hi = shard_lo(spec_.stream.n, hosts, h + 1);
@@ -138,7 +138,7 @@ void NetCoordinator::step(TimeStep t) {
     update.t = t;
     for (const NodeId id : dirty) {
       if (id >= lo && id < hi) {
-        const Filter& f = nodes[id].filter();
+        const Filter f = nodes[id].filter();
         update.filters.push_back(FilterEntry{id, f.lo, f.hi});
       }
     }

@@ -105,11 +105,15 @@ ExistenceResult ExistenceProtocol::run_active(std::size_t n,
       // Both sides scale by 2^53 exactly, so on the integer u = x >> 11 the
       // test is u < ⌈p·2^53⌉ — the same outcome, without the conversion.
       const auto below = static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+      // Drawing from a local copy keeps the xoshiro state in registers
+      // instead of storing it through the reference on every draw.
+      Rng local = rng;
       for (const NodeId i : active) {
-        if ((rng.next_u64() >> 11) < below) {
+        if ((local.next_u64() >> 11) < below) {
           res.senders.push_back({i, value(i)});
         }
       }
+      rng = local;
     }
     if (!res.senders.empty()) {
       res.any = true;

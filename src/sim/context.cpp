@@ -1,5 +1,6 @@
 #include "sim/context.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 #include "util/assert.hpp"
@@ -10,32 +11,29 @@ namespace topkmon {
 SimContext::SimContext(SimParams params, std::uint64_t protocol_seed)
     : params_(params),
       rng_(Rng::derive(protocol_seed, /*stream_id=*/0xC0FFEE)),
-      violating_(params.n, 0),
-      violators_(params.n),
+      values_(params.n, 0),
       filter_lo_(params.n, Filter::all().lo),
-      filter_hi_(params.n, Filter::all().hi) {
+      filter_hi_(params.n, Filter::all().hi),
+      violating_(params.n, 0),
+      violators_(params.n) {
   TOPKMON_ASSERT(params.n > 0);
   TOPKMON_ASSERT(params.k >= 1 && params.k <= params.n);
   TOPKMON_ASSERT(params.epsilon >= 0.0 && params.epsilon < 1.0);
-  nodes_.reserve(params.n);
-  for (NodeId i = 0; i < params.n; ++i) {
-    nodes_.emplace_back(i);
-  }
 }
 
 Value SimContext::report_value(NodeId i, MessageTag tag) {
-  TOPKMON_ASSERT(i < nodes_.size());
+  TOPKMON_ASSERT(i < n());
   stats_.count(MessageKind::kNodeToServer, tag);
-  return nodes_[i].value();
+  return values_[i];
 }
 
 void SimContext::unicast(NodeId i, MessageTag tag) {
-  TOPKMON_ASSERT(i < nodes_.size());
+  TOPKMON_ASSERT(i < n());
   stats_.count(MessageKind::kServerToNode, tag);
 }
 
 void SimContext::set_filter_unicast(NodeId i, const Filter& f, MessageTag tag) {
-  TOPKMON_ASSERT(i < nodes_.size());
+  TOPKMON_ASSERT(i < n());
   stats_.count(MessageKind::kServerToNode, tag);
   install_filter(i, f);
 }
@@ -47,7 +45,7 @@ void SimContext::broadcast(MessageTag tag) {
 ExistenceResult SimContext::existence_over(std::span<const NodeId> active,
                                            MessageTag tag) {
   ExistenceResult res =
-      ExistenceProtocol::run_active(nodes_.size(), active, node_value(), rng_);
+      ExistenceProtocol::run_active(n(), active, node_value(), rng_);
   stats_.count(MessageKind::kNodeToServer, tag, res.messages);
   stats_.add_rounds(res.rounds);
   return res;
@@ -60,14 +58,14 @@ ExistenceResult SimContext::collect_violations() {
     // runs all rounds in silence and draws no randomness — reproduce its
     // result and accounting directly, skipping the O(n) node sweep.
     ExistenceResult res;
-    res.rounds = ExistenceProtocol::max_rounds(nodes_.size());
+    res.rounds = ExistenceProtocol::max_rounds(n());
     stats_.count(MessageKind::kNodeToServer, MessageTag::kViolation, 0);
     stats_.add_rounds(res.rounds);
     return res;
   }
   // The incremental bits make the active list one vectorized byte scan.
   const std::size_t active =
-      simd::collect_nonzero(violating_.data(), nodes_.size(), violators_.data());
+      simd::collect_nonzero(violating_.data(), n(), violators_.data());
   TOPKMON_ASSERT(active == violating_count_);
   return existence_over({violators_.data(), active}, MessageTag::kViolation);
 }
@@ -79,17 +77,21 @@ std::vector<SimContext::ProbeResult> SimContext::probe_top(std::size_t m) {
     return probe_sharer_->top(m);
   }
   std::vector<ProbeResult> out;
-  pool_.resize(nodes_.size());
+  pool_.resize(n());
   std::iota(pool_.begin(), pool_.end(), NodeId{0});
-  while (out.size() < m && probe_next_rank(nodes_.size(), pool_, active_, node_value(),
+  while (out.size() < m && probe_next_rank(n(), pool_, active_, node_value(),
                                            out, stats_, rng_)) {
   }
   return out;
 }
 
+void SimContext::rederive_violations() {
+  violating_count_ = simd::violation_mask(values_.data(), filter_lo_.data(),
+                                          filter_hi_.data(), n(), violating_.data());
+}
+
 void SimContext::advance_time(const ValueVector& values) {
-  const std::size_t n = nodes_.size();
-  TOPKMON_ASSERT(values.size() == n);
+  TOPKMON_ASSERT(values.size() == n());
   if (track_filters_) {
     // The dirty set describes one protocol step; a new observation vector
     // starts the next one.
@@ -98,17 +100,12 @@ void SimContext::advance_time(const ValueVector& values) {
   // The range guard is one vectorized max scan instead of a per-node branch;
   // it also certifies the exactness precondition of the violation pass's
   // u64 → double lane conversion.
-  TOPKMON_ASSERT_MSG(simd::max_value(values.data(), n) <= kMaxObservableValue,
+  TOPKMON_ASSERT_MSG(simd::max_value(values.data(), n()) <= kMaxObservableValue,
                      "generator exceeded kMaxObservableValue");
-  for (NodeId i = 0; i < n; ++i) {
-    nodes_[i].observe(values[i]);
-  }
-  // One branchless filter-bound pass over the SoA bound mirrors rederives
-  // every node-side violation bit — bit-identical to Filter::check per node.
+  std::copy(values.begin(), values.end(), values_.begin());
   // The bit array is what makes the per-step violation sweep
   // (collect_violations) O(1) on quiescent steps.
-  violating_count_ = simd::violation_mask(values.data(), filter_lo_.data(),
-                                          filter_hi_.data(), n, violating_.data());
+  rederive_violations();
   ++time_;
 }
 

@@ -22,6 +22,12 @@
 // list (protocols/existence.hpp); repeated runs inside one primitive —
 // sample_max's threshold loop, enumerate_nodes — shrink that list in place
 // instead of re-evaluating the predicate over the fleet.
+//
+// Node state is one structure-of-arrays store — values, filter lower bounds,
+// filter upper bounds, violation bits — so an observation step and a filter
+// broadcast are whole-fleet vector passes: a copy or a rule pass that writes
+// the arrays, then one vectorized re-derive of the violation bits
+// (util/simd.hpp). `nodes()` reads the store through by-value Node views.
 #pragma once
 
 #include <algorithm>
@@ -75,15 +81,17 @@ class SimContext {
  public:
   SimContext(SimParams params, std::uint64_t protocol_seed);
 
-  std::size_t n() const { return nodes_.size(); }
+  std::size_t n() const { return values_.size(); }
   std::size_t k() const { return params_.k; }
   double epsilon() const { return params_.epsilon; }
   Value threshold() const { return params_.threshold; }
   TimeStep time() const { return time_; }
 
-  /// Read-only node array (values + filters). For generators, validators and
+  /// Read-only node views (values + filters). For generators, validators and
   /// node-side predicates; protocol server logic must use accounted calls.
-  std::span<const Node> nodes() const { return {nodes_.data(), nodes_.size()}; }
+  NodeRange nodes() const {
+    return {values_.data(), filter_lo_.data(), filter_hi_.data(), values_.size()};
+  }
 
   // ---- accounted primitives (server side) --------------------------------
 
@@ -104,12 +112,22 @@ class SimContext {
   /// locally (1 broadcast message total). The rule — a callable
   /// `Filter(const Node&)` — may depend only on node-public state (its role
   /// previously communicated, its id).
+  ///
+  /// One rule pass writes both bound arrays; one vectorized pass then
+  /// re-derives every violation bit, bit-identical to Filter::check per node.
   template <class Rule>
   void broadcast_filters(Rule&& rule, MessageTag tag = MessageTag::kFilterBroadcast) {
     stats_.count(MessageKind::kBroadcast, tag);
-    for (const Node& node : nodes_) {
-      install_filter(node.id(), rule(node));
+    const NodeRange fleet = nodes();
+    for (std::size_t i = 0; i < fleet.size(); ++i) {
+      const Filter f = rule(fleet[i]);
+      filter_lo_[i] = f.lo;
+      filter_hi_[i] = f.hi;
     }
+    if (track_filters_) {
+      for (NodeId i = 0; i < fleet.size(); ++i) mark_dirty(i);
+    }
+    rederive_violations();
   }
 
   /// Node-side selection (free): replaces `out` with the ids of the nodes
@@ -117,7 +135,7 @@ class SimContext {
   template <class Pred>
   void select_nodes(Pred&& pred, std::vector<NodeId>& out) const {
     out.clear();
-    for (const Node& node : nodes_) {
+    for (const Node node : nodes()) {
       if (pred(node)) out.push_back(node.id());
     }
   }
@@ -156,7 +174,7 @@ class SimContext {
   template <class Pred>
   std::optional<ProbeResult> sample_max(Pred&& pred) {
     select_nodes(pred, active_);
-    return sample_max_over(nodes_.size(), active_, node_value(), stats_, rng_);
+    return sample_max_over(n(), active_, node_value(), stats_, rng_);
   }
 
   /// The core Lemma 2.6 threshold-sampling loop, shared by sample_max, the
@@ -245,8 +263,8 @@ class SimContext {
   void enable_filter_tracking() {
     if (!track_filters_) {
       track_filters_ = true;
-      filter_dirty_mark_.assign(nodes_.size(), 0);
-      filter_dirty_ids_.reserve(nodes_.size());
+      filter_dirty_mark_.assign(n(), 0);
+      filter_dirty_ids_.reserve(n());
     }
   }
   bool filter_tracking() const { return track_filters_; }
@@ -256,15 +274,18 @@ class SimContext {
   const std::vector<NodeId>& dirty_filters() const { return filter_dirty_ids_; }
 
  private:
-  /// Single write point for node filters: the AoS node copy (node-side
-  /// checks), the SoA bound mirrors (the vectorized sweep), and the
-  /// violation bit move together.
+  /// Single-node filter write (unicast and free writes): both bounds and
+  /// the violation bit move together.
   void install_filter(NodeId i, const Filter& f) {
-    nodes_[i].set_filter(f);
     filter_lo_[i] = f.lo;
     filter_hi_[i] = f.hi;
     refresh_violation(i);
-    if (track_filters_ && !filter_dirty_mark_[i]) {
+    if (track_filters_) mark_dirty(i);
+  }
+
+  /// Records node i in the dirty-filter set (tracking enabled only).
+  void mark_dirty(NodeId i) {
+    if (!filter_dirty_mark_[i]) {
       filter_dirty_mark_[i] = 1;
       filter_dirty_ids_.push_back(i);
     }
@@ -280,34 +301,36 @@ class SimContext {
 
   /// Node i's current value, as the payload senders attach.
   auto node_value() const {
-    return [this](NodeId i) { return nodes_[i].value(); };
+    return [this](NodeId i) { return values_[i]; };
   }
 
-  /// Re-derives node i's violation bit after a filter or value write.
+  /// Re-derives node i's violation bit after a single-node filter write.
   void refresh_violation(NodeId i) {
-    const std::uint8_t now = nodes_[i].violating() ? 1 : 0;
+    const std::uint8_t now = nodes()[i].violating() ? 1 : 0;
     violating_count_ += now;
     violating_count_ -= violating_[i];
     violating_[i] = now;
   }
 
+  /// Re-derives every violation bit (and the count) from the store in one
+  /// branchless filter-bound pass — bit-identical to Filter::check per node.
+  void rederive_violations();
+
   SimParams params_;
-  std::vector<Node> nodes_;
   CommStats stats_;
   Rng rng_;
   TimeStep time_ = -1;
   ProbeSharer* probe_sharer_ = nullptr;
   telemetry::StepProfiler* profiler_ = nullptr;
-  /// SoA violation bits, kept in sync with every observe / filter write so
-  /// the per-step violation sweep builds its active list with one
-  /// vectorized byte scan instead of re-evaluating every node's filter. The
-  /// bits are recomputed each advance_time by one vectorized filter-bound
-  /// pass (util/simd.hpp) over the SoA bound mirrors below — bit-identical
-  /// to Filter::check per node.
+  // The node store: slot i of each array is node i.
+  std::vector<Value> values_;      ///< current observations
+  std::vector<double> filter_lo_;  ///< filter lower bounds
+  std::vector<double> filter_hi_;  ///< filter upper bounds
+  /// Violation bits, kept in sync with every observation and filter write
+  /// so the per-step violation sweep builds its active list with one
+  /// vectorized byte scan instead of re-evaluating every node's filter.
   std::vector<std::uint8_t> violating_;
   std::vector<NodeId> violators_;  ///< collect_violations' active list (size n)
-  std::vector<double> filter_lo_;  ///< SoA mirror of nodes_[i].filter().lo
-  std::vector<double> filter_hi_;  ///< SoA mirror of nodes_[i].filter().hi
   std::size_t violating_count_ = 0;
   bool track_filters_ = false;  ///< dirty-filter tracking armed (net runtime)
   std::vector<std::uint8_t> filter_dirty_mark_;  ///< per-node dedup bits

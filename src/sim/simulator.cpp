@@ -169,7 +169,7 @@ void Simulator::validate_strict(const ValueVector& values) {
   // per step.
   strict_arena_.reset();
   const std::span<Filter> filters = strict_arena_.get<Filter>(ctx_.n());
-  const std::span<const Node> nodes = ctx_.nodes();
+  const NodeRange nodes = ctx_.nodes();
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     filters[i] = nodes[i].filter();
   }

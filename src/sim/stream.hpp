@@ -9,7 +9,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
 #include <string_view>
 
 #include "model/filter.hpp"
@@ -20,8 +19,8 @@
 namespace topkmon {
 
 struct AdversaryView {
-  std::span<const Node> nodes;  ///< values + filters as of *before* this step
-  const OutputSet* output;      ///< server's current output (never null)
+  NodeRange nodes;          ///< values + filters as of *before* this step
+  const OutputSet* output;  ///< server's current output (never null)
   std::size_t k;
   double epsilon;
 };

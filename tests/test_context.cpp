@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "model/oracle.hpp"
 #include "protocols/generic_framework.hpp"
@@ -34,6 +35,85 @@ TEST(SimContext, BroadcastFiltersCostsOneMessageAndSetsAll) {
   }
   EXPECT_TRUE(ctx.nodes()[2].violating());
   EXPECT_FALSE(ctx.nodes()[0].violating());
+}
+
+// The broadcast path re-derives every violation bit in one vectorized pass;
+// it must agree with the scalar Filter::check on every boundary case. 23
+// nodes: the AVX2 lanes and the scalar tail both see cases.
+TEST(SimContext, BroadcastRederivesViolationBitsAtBoundaries) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr auto kTop = static_cast<double>(kMaxObservableValue);
+  struct Case {
+    Value value;
+    Filter filter;
+  };
+  const std::vector<Case> cases = {
+      {9, {10.0, 20.0}},
+      {10, {10.0, 20.0}},
+      {11, {10.0, 20.0}},
+      {19, {10.0, 20.0}},
+      {20, {10.0, 20.0}},
+      {21, {10.0, 20.0}},
+      {14, Filter::point(15.0)},
+      {15, Filter::point(15.0)},
+      {16, Filter::point(15.0)},
+      {0, Filter::point(0.0)},
+      {1, Filter::point(0.0)},
+      {4, {-kInf, 5.0}},
+      {5, {-kInf, 5.0}},
+      {6, {-kInf, 5.0}},
+      {6, {7.0, kInf}},
+      {7, {7.0, kInf}},
+      {8, {7.0, kInf}},
+      {0, {-kInf, kInf}},
+      {kMaxObservableValue, {-kInf, kInf}},
+      {0, {-kInf, -kInf}},
+      {0, {kInf, kInf}},
+      {kMaxObservableValue, {0.0, kTop}},
+      {kMaxObservableValue, {0.0, kTop - 1.0}},
+  };
+  ValueVector values;
+  for (const Case& c : cases) values.push_back(c.value);
+  auto ctx = make_ctx(values);
+
+  // Bits must move both ways: set the cases, clear them, set them again.
+  for (const bool set_cases : {true, false, true}) {
+    ctx.broadcast_filters([&](const Node& node) {
+      return set_cases ? cases[node.id()].filter : Filter::all();
+    });
+    std::vector<NodeId> expected;
+    for (NodeId i = 0; i < cases.size(); ++i) {
+      const Filter f = set_cases ? cases[i].filter : Filter::all();
+      const bool bad = f.check(cases[i].value) != Violation::kNone;
+      EXPECT_EQ(ctx.nodes()[i].violating(), bad) << "node " << i;
+      if (bad) expected.push_back(i);
+    }
+    ASSERT_EQ(ctx.violating_count(), expected.size());
+    if (set_cases) {
+      EXPECT_EQ(expected, (std::vector<NodeId>{0, 5, 6, 8, 10, 13, 14, 19, 20, 22}));
+    }
+  }
+
+  // Every sender of every violation sweep is an expected violator; silencing
+  // each one as it reports drains exactly the expected set.
+  std::vector<NodeId> expected;
+  for (NodeId i = 0; i < cases.size(); ++i) {
+    if (cases[i].filter.check(cases[i].value) != Violation::kNone) expected.push_back(i);
+  }
+  std::vector<NodeId> reported;
+  for (ExistenceResult res = ctx.collect_violations(); res.any;
+       res = ctx.collect_violations()) {
+    for (const ExistenceHit& hit : res.senders) {
+      EXPECT_TRUE(std::binary_search(expected.begin(), expected.end(), hit.id))
+          << "node " << hit.id << " reported without a violation";
+      EXPECT_EQ(hit.value, cases[hit.id].value);
+      reported.push_back(hit.id);
+      ctx.set_filter_free(hit.id, Filter::all());
+    }
+  }
+  std::sort(reported.begin(), reported.end());
+  EXPECT_EQ(reported, expected);
+  EXPECT_EQ(ctx.violating_count(), 0u);
 }
 
 TEST(SimContext, SetFilterUnicastCostsOneMessage) {

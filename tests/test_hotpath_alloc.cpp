@@ -17,6 +17,7 @@
 #include "faults/schedule.hpp"
 #include "model/fleet_state.hpp"
 #include "protocols/registry.hpp"
+#include "sim/context.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/alloc_counter.hpp"
@@ -265,6 +266,34 @@ TEST(HotPathAlloc, EngineWithTelemetryStepIsAllocFree) {
   EXPECT_EQ(probe.delta(), 0u);
   EXPECT_GT(sink.registry().value(sink.registry().find("engine.total_messages")),
             0u);
+}
+
+// A filter broadcast is one rule pass over the node store plus one
+// violation re-derive; with dirty tracking armed (the net runtime's mode)
+// it records every id into preallocated buffers. Observation and broadcast
+// cycles that flip violation bits both ways must not touch the heap.
+TEST(HotPathAlloc, FilterBroadcastIsAllocFree) {
+  SKIP_WITHOUT_ALLOC_HOOK();
+  constexpr std::size_t kN = 1024;
+  SimContext ctx(SimParams{kN, 4, 0.1}, /*protocol_seed=*/11);
+  ctx.enable_filter_tracking();
+  const ValueVector even = random_values(kN, 11);
+  const ValueVector odd = random_values(kN, 12);
+  std::size_t violations = 0;
+  const auto cycle = [&](int i) {
+    ctx.advance_time(i % 2 == 0 ? even : odd);
+    const double bar = 150000.0 + 1000.0 * (i % 7);
+    ctx.broadcast_filters([bar](const Node& node) {
+      return node.id() % 2 == 0 ? Filter::at_most(bar) : Filter::at_least(bar);
+    });
+    violations += ctx.violating_count();
+  };
+  for (int i = 0; i < 8; ++i) cycle(i);
+  AllocProbe probe;
+  for (int i = 0; i < 200; ++i) cycle(i);
+  EXPECT_EQ(probe.delta(), 0u) << probe.delta() << " allocations over 200 cycles";
+  EXPECT_EQ(ctx.dirty_filters().size(), kN);
+  EXPECT_GT(violations, 0u);
 }
 
 TEST(HotPathAlloc, ScratchArenaReachesSteadyState) {

@@ -17,9 +17,21 @@
 namespace topkmon {
 namespace {
 
-AdversaryView dummy_view(const std::vector<Node>& nodes, const OutputSet& out,
-                         std::size_t k, double eps) {
-  return AdversaryView{{nodes.data(), nodes.size()}, &out, k, eps};
+/// A fleet of n nodes at value 0 with the all-accepting filter, stored as
+/// the parallel arrays an AdversaryView reads.
+struct DummyFleet {
+  explicit DummyFleet(std::size_t n)
+      : values(n, 0), lo(n, Filter::all().lo), hi(n, Filter::all().hi) {}
+  ValueVector values;
+  std::vector<double> lo;
+  std::vector<double> hi;
+};
+
+AdversaryView dummy_view(const DummyFleet& fleet, const OutputSet& out, std::size_t k,
+                         double eps) {
+  const NodeRange nodes{fleet.values.data(), fleet.lo.data(), fleet.hi.data(),
+                        fleet.values.size()};
+  return AdversaryView{nodes, &out, k, eps};
 }
 
 // ---- generic properties over every registered kind ------------------------
@@ -40,7 +52,7 @@ TEST_P(StreamKindTest, DeterministicForSameSeed) {
   g1->init(v1, r1);
   g2->init(v2, r2);
   EXPECT_EQ(v1, v2);
-  std::vector<Node> nodes(g1->n());
+  const DummyFleet nodes(g1->n());
   OutputSet out{0, 1, 2};
   for (TimeStep t = 1; t < 50; ++t) {
     g1->step(t, dummy_view(nodes, out, spec.k, spec.epsilon), v1, r1);
@@ -60,7 +72,7 @@ TEST_P(StreamKindTest, ValuesWithinObservableRange) {
   Rng rng(123);
   ValueVector v(g->n());
   g->init(v, rng);
-  std::vector<Node> nodes(g->n());
+  const DummyFleet nodes(g->n());
   OutputSet out{0, 1, 2};
   for (TimeStep t = 1; t < 200; ++t) {
     g->step(t, dummy_view(nodes, out, spec.k, spec.epsilon), v, rng);
@@ -143,7 +155,7 @@ TEST(RandomWalk, StepsBounded) {
   ValueVector v(4);
   g.init(v, rng);
   ValueVector prev = v;
-  std::vector<Node> nodes(4);
+  const DummyFleet nodes(4);
   OutputSet out{0};
   for (TimeStep t = 1; t < 500; ++t) {
     g.step(t, dummy_view(nodes, out, 1, 0.1), v, rng);
@@ -182,7 +194,7 @@ TEST(Oscillating, SigmaIsExactEveryStep) {
   Rng rng(21);
   ValueVector v(cfg.n);
   g.init(v, rng);
-  std::vector<Node> nodes(cfg.n);
+  const DummyFleet nodes(cfg.n);
   OutputSet out{0, 1, 2, 3, 4};
   for (TimeStep t = 0; t < 300; ++t) {
     if (t > 0) g.step(t, dummy_view(nodes, out, cfg.k, cfg.epsilon), v, rng);
@@ -201,7 +213,7 @@ TEST(Oscillating, DriftingBandKeepsSigmaExact) {
   Rng rng(77);
   ValueVector v(cfg.n);
   g.init(v, rng);
-  std::vector<Node> nodes(cfg.n);
+  const DummyFleet nodes(cfg.n);
   OutputSet out{0, 1, 2, 3, 4};
   Value min_top = cfg.band_top, max_top = 0;
   for (TimeStep t = 0; t < 400; ++t) {
@@ -226,7 +238,7 @@ TEST(Oscillating, SigmaSmallerThanKAlsoWorks) {
   ValueVector v(cfg.n);
   g.init(v, rng);
   for (TimeStep t = 0; t < 100; ++t) {
-    std::vector<Node> nodes(cfg.n);
+    const DummyFleet nodes(cfg.n);
     OutputSet out;
     if (t > 0) g.step(t, dummy_view(nodes, out, cfg.k, cfg.epsilon), v, rng);
     EXPECT_EQ(Oracle::sigma(v, cfg.k, cfg.epsilon), cfg.sigma) << "t=" << t;
@@ -260,7 +272,7 @@ TEST(SineNoise, StaysNearMidWithoutNoise) {
   Rng rng(41);
   ValueVector v(4);
   g.init(v, rng);
-  std::vector<Node> nodes(4);
+  const DummyFleet nodes(4);
   OutputSet out{0};
   for (TimeStep t = 1; t < 600; ++t) {
     g.step(t, dummy_view(nodes, out, 1, 0.1), v, rng);
@@ -280,7 +292,7 @@ TEST(TraceFile, ParsesAndReplays) {
   ValueVector v(3);
   g.init(v, rng);
   EXPECT_EQ(v, (ValueVector{1, 2, 3}));
-  std::vector<Node> nodes(3);
+  const DummyFleet nodes(3);
   OutputSet out{0};
   g.step(1, dummy_view(nodes, out, 1, 0.1), v, rng);
   EXPECT_EQ(v, (ValueVector{4, 5, 6}));
