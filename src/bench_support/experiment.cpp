@@ -6,6 +6,21 @@
 
 namespace topkmon {
 
+namespace {
+
+/// The fault schedule of one trial of `cfg` over an n-node fleet (horizon =
+/// cfg.steps, seed derived from cfg.faults.seed and the trial index); null
+/// when the scenario is all-zero.
+FleetSchedulePtr trial_fleet_schedule(const ExperimentConfig& cfg,
+                                      std::size_t trial, std::size_t n) {
+  FaultConfig fault_cfg = cfg.faults;
+  fault_cfg.horizon = cfg.steps;
+  fault_cfg.seed = splitmix_combine(cfg.faults.seed, trial);
+  return make_fleet_schedule(fault_cfg, n);
+}
+
+}  // namespace
+
 TrialOutcome run_experiment_trial(const ExperimentConfig& cfg, std::size_t trial,
                                   telemetry::StepProfiler* profiler) {
   SimConfig sim_cfg;
@@ -64,14 +79,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     accumulate_trial(res, cfg, run_experiment_trial(cfg, trial));
   }
   return res;
-}
-
-FleetSchedulePtr trial_fleet_schedule(const ExperimentConfig& cfg,
-                                      std::size_t trial, std::size_t n) {
-  FaultConfig fault_cfg = cfg.faults;
-  fault_cfg.horizon = cfg.steps;
-  fault_cfg.seed = splitmix_combine(cfg.faults.seed, trial);
-  return make_fleet_schedule(fault_cfg, n);
 }
 
 }  // namespace topkmon

@@ -68,22 +68,13 @@ TrialOutcome run_experiment_trial(const ExperimentConfig& cfg, std::size_t trial
                                   telemetry::StepProfiler* profiler = nullptr);
 
 /// Folds one trial into the cell's result. Must be called in trial order —
-/// the single aggregation point shared by run_experiment and both sweep
-/// paths (solo and engine-grouped cells), so all fold with the identical
-/// floating-point operation order.
+/// the single aggregation point shared by run_experiment and run_sweep, so
+/// both fold with the identical floating-point operation order.
 void accumulate_trial(ExperimentResult& res, const ExperimentConfig& cfg,
                       const TrialOutcome& trial);
 
 /// Runs all trials of one cell (serially; parallelism lives in runner.hpp).
 /// Per-trial seeds derive from cfg.seed via splitmix_combine (util/rng.hpp).
 ExperimentResult run_experiment(const ExperimentConfig& cfg);
-
-/// The fault schedule of one trial of `cfg` over an n-node fleet (horizon =
-/// cfg.steps, seed derived from cfg.faults.seed and the trial index); null
-/// when the scenario is all-zero. The single derivation point shared by the
-/// solo path (run_experiment) and the engine-grouped path (run_sweep) — both
-/// must script the identical degraded fleet for bit-identical results.
-FleetSchedulePtr trial_fleet_schedule(const ExperimentConfig& cfg,
-                                      std::size_t trial, std::size_t n);
 
 }  // namespace topkmon

@@ -61,7 +61,6 @@ QueryHandle MonitoringEngine::add_query(QuerySpec spec) {
   sim_cfg.seed = spec.seed ? *spec.seed : splitmix_combine(cfg_.seed, handle);
   sim_cfg.strict = spec.strict;
   sim_cfg.threshold = spec.threshold;
-  sim_cfg.record_history = false;  // history is shared, kept engine-side
   sim_cfg.window = spec.window;
   sim_cfg.faults = cfg_.faults;
   auto protocol = make_protocol(spec.protocol);
@@ -217,9 +216,6 @@ void MonitoringEngine::step() {
     }
   }
 
-  if (cfg_.record_history) {
-    history_.push_back(eff);
-  }
   if (telemetry_ != nullptr) {
     publish_telemetry();
   }

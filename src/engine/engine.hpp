@@ -57,8 +57,7 @@ namespace topkmon {
 struct EngineConfig {
   std::size_t threads = 0;  ///< max worker threads (≤ one per query); 0 = hardware concurrency
   std::uint64_t seed = 1;
-  bool share_probes = true;     ///< batch probe_top across queries per step
-  bool record_history = false;  ///< keep snapshot history (offline OPT input)
+  bool share_probes = true;  ///< batch probe_top across queries per step
 
   /// Fault model (src/faults): null = reliable static fleet. The engine
   /// injects churn/straggler effects into the shared snapshot ONCE per step
@@ -118,12 +117,6 @@ class MonitoringEngine {
     return capability(h, QueryKind::kKSelect);
   }
 
-  /// Shared snapshot history (empty unless cfg.record_history); recorded
-  /// once per step — not once per query — and *pre-window*: the effective
-  /// (possibly fault-degraded) vector before any per-window transform.
-  /// Windowed offline baselines re-window it per W (offline/windowed_opt).
-  const std::vector<ValueVector>& history() const { return history_; }
-
   /// Attaches a telemetry sink: registers the engine's metric namespace
   /// (comm.*, engine.*, faults.*, window.*), arms the engine-loop profiler
   /// (generator / fault-inject / snapshot phases) plus one single-writer
@@ -171,7 +164,6 @@ class MonitoringEngine {
   std::vector<std::pair<std::size_t, std::size_t>> locate_;
 
   std::unique_ptr<ThreadPool> pool_;  ///< one worker per shard; null = run shards inline
-  std::vector<ValueVector> history_;
   TimeStep next_t_ = 0;
   double elapsed_sec_ = 0.0;
   bool started_ = false;

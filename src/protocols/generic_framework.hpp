@@ -16,7 +16,7 @@
 namespace topkmon {
 
 struct ProbeInfo {
-  /// Probed nodes in descending rank order; size k+1 (or n if n == k+1... );
+  /// Probed nodes in descending rank order; exactly k+1 entries (k < n).
   std::vector<SimContext::ProbeResult> ranked;
   OutputSet top_ids;  ///< ids of the k highest, sorted ascending
   Value vk = 0;       ///< k-th largest value

@@ -165,11 +165,11 @@ void Simulator::validate_strict(const ValueVector& values) {
   }
 
   // The filter snapshot is captured lazily — only here, where the validator
-  // actually consumes it — and into the reusable arena, not a fresh vector
-  // per step.
-  strict_arena_.reset();
-  const std::span<Filter> filters = strict_arena_.get<Filter>(ctx_.n());
+  // actually consumes it — and into a buffer reused across steps, not a
+  // fresh vector per step (n is fixed, so only the first call allocates).
+  std::vector<Filter>& filters = strict_filters_;
   const NodeRange nodes = ctx_.nodes();
+  filters.resize(nodes.size());
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     filters[i] = nodes[i].filter();
   }
@@ -177,13 +177,11 @@ void Simulator::validate_strict(const ValueVector& values) {
     // Observation 2.2 ties filter validity to the top-k output F(t);
     // non-top-k kinds state their own filter discipline (quiescence below).
     TOPKMON_ASSERT_MSG(
-        filters_valid(std::span<const Filter>(filters.data(), filters.size()),
-                      protocol_->output(), cfg_.epsilon),
+        filters_valid(filters, protocol_->output(), cfg_.epsilon),
         ("filter set invalid (Obs. 2.2) at t=" + std::to_string(next_t_)).c_str());
   }
   TOPKMON_ASSERT_MSG(
-      all_within(std::span<const Filter>(filters.data(), filters.size()),
-                 std::span<const Value>(values.data(), values.size())),
+      all_within(filters, std::span<const Value>(values.data(), values.size())),
       ("protocol left unresolved filter violations at t=" + std::to_string(next_t_))
           .c_str());
 

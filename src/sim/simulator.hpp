@@ -16,7 +16,7 @@
 // (TopKOrder, or the driver) instead of a per-step sort, so a steady-state
 // step performs no heap allocation (see util/alloc_counter.hpp).
 // Strict-mode scratch (the filter snapshot the validator consumes) is
-// captured lazily into a reusable arena only when validation actually runs.
+// captured lazily into a reusable buffer only when validation actually runs.
 #pragma once
 
 #include <array>
@@ -35,7 +35,6 @@
 #include "sim/stream.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/profiler.hpp"
-#include "util/arena.hpp"
 #include "util/assert.hpp"
 
 namespace topkmon::telemetry {
@@ -172,8 +171,8 @@ class Simulator {
   FleetState fleet_;  ///< σ-path order (lazy)
   std::vector<ValueVector> history_;
   std::uint64_t window_expirations_ = 0;
-  ScratchArena strict_arena_;  ///< lazy validator scratch (strict mode only)
-  BandLadder strict_ladder_;   ///< count-distinct oracle ladder (built once; ε fixed)
+  std::vector<Filter> strict_filters_;  ///< validator snapshot; sized on first use
+  BandLadder strict_ladder_;  ///< count-distinct oracle ladder (built once; ε fixed)
   bool strict_ladder_ready_ = false;
   std::size_t max_sigma_ = 0;
   TimeStep next_t_ = 0;

@@ -4,9 +4,10 @@
 // The batched hot path (FleetPipeline::step, Simulator::step_on,
 // StepSnapshot::begin_step, EngineShard::advance) is engineered so a
 // steady-state step performs ZERO heap allocations: every buffer is
-// preallocated in FleetState / TopKOrder / WindowedValueModel / ScratchArena
-// and reused. This header gives tests and
-// benches the instrument to *prove* that instead of assuming it.
+// preallocated in FleetState / TopKOrder / WindowedValueModel (or sized once
+// on first use, like the strict validator's filter snapshot) and reused.
+// This header gives tests and benches the instrument to *prove* that instead
+// of assuming it.
 //
 // When the library is configured with TOPKMON_COUNT_ALLOCS (the default for
 // Debug builds without sanitizers — see CMakeLists.txt), alloc_counter.cpp

@@ -132,11 +132,10 @@ TEST(Engine, DeterministicAcrossRuns) {
 TEST(Engine, MixedQueriesStayValidOnChurningStreams) {
   // run_mixed_engine already runs with strict = true (the Simulator aborts on
   // any invalid output/filter); additionally re-check every final output
-  // against the oracle on the engine's shared history.
+  // against the oracle on the final observation vector.
   EngineConfig cfg;
   cfg.threads = 4;
   cfg.seed = 13;
-  cfg.record_history = true;
   MonitoringEngine engine(cfg, make_stream(fleet_spec("oscillating", 16)));
   std::vector<QuerySpec> specs;
   for (std::size_t q = 0; q < 12; ++q) {
@@ -150,8 +149,13 @@ TEST(Engine, MixedQueriesStayValidOnChurningStreams) {
   }
   engine.run(150);
 
-  ASSERT_EQ(engine.history().size(), 150u);
-  const ValueVector& last = engine.history().back();
+  ASSERT_EQ(engine.time(), 150u);
+  // Every query is unwindowed, so each query's context holds the fleet's
+  // final observations.
+  ValueVector last;
+  for (const Node node : engine.query_sim(0).context().nodes()) {
+    last.push_back(node.value());
+  }
   for (std::size_t q = 0; q < specs.size(); ++q) {
     const auto& out = engine.output(static_cast<QueryHandle>(q));
     EXPECT_EQ(out.size(), specs[q].k);
@@ -213,20 +217,6 @@ TEST(Engine, SharedProbeResultsMatchUnshared) {
 }
 
 // --- engine plumbing ---------------------------------------------------------
-
-TEST(Engine, HistoryRecordedOncePerStep) {
-  EngineConfig cfg;
-  cfg.threads = 2;
-  cfg.seed = 3;
-  cfg.record_history = true;
-  MonitoringEngine engine(cfg, make_stream(fleet_spec("uniform", 8)));
-  for (std::size_t q = 0; q < 4; ++q) {
-    engine.add_query(QuerySpec{});
-  }
-  engine.run(25);
-  EXPECT_EQ(engine.history().size(), 25u);
-  EXPECT_EQ(engine.history().front().size(), 8u);
-}
 
 TEST(Engine, StatsAggregateAcrossQueries) {
   EngineConfig cfg;

@@ -73,9 +73,9 @@ TEST(Runner, SweepPreservesOrderAndDeterminism) {
 }
 
 TEST(Runner, EngineGroupedSweepMatchesPerCellResults) {
-  // Rows sharing one stream config (protocol comparison at fixed k/ε) are
-  // multiplexed through the MonitoringEngine; per-cell results must stay
-  // bit-identical to the one-Simulator-per-cell path.
+  // Rows sharing one stream config (a protocol comparison at fixed k/ε, the
+  // grid an engine could multiplex) run as independent per-cell trials;
+  // their results must stay bit-identical to serial run_experiment.
   std::vector<SweepRow> rows;
   for (const std::string protocol :
        {"combined", "topk_protocol", "half_error", "naive_central"}) {
@@ -97,8 +97,8 @@ TEST(Runner, EngineGroupedSweepMatchesPerCellResults) {
 }
 
 TEST(Runner, AdaptiveStreamsKeepPerCellPath) {
-  // lb_adversary adapts against the monitored protocol; grouping cells
-  // would change what each protocol sees, so the sweep must not group them.
+  // lb_adversary adapts against the monitored protocol, so each cell must
+  // run against its own adversary, exactly as serial run_experiment does.
   std::vector<SweepRow> rows;
   for (const std::string protocol : {"combined", "topk_protocol"}) {
     auto cfg = small_cfg();

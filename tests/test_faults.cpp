@@ -17,7 +17,6 @@
 
 #include <algorithm>
 
-#include "bench_support/runner.hpp"
 #include "engine/engine.hpp"
 #include "protocols/registry.hpp"
 #include "sim/simulator.hpp"
@@ -282,44 +281,6 @@ TEST(FaultPresets, AllRegisteredNamesResolve) {
   EXPECT_THROW(fault_preset("no_such_preset"), std::runtime_error);
 }
 
-// --- sweep path ------------------------------------------------------------
-
-// Cells sharing one stream config are multiplexed through a single engine by
-// run_sweep; with a fault scenario attached, the grouped path must still be
-// bit-identical to one-Simulator-per-cell (same trial-derived schedules).
-TEST(SweepFaults, GroupedCellsMatchSoloCellsUnderFaults) {
-  ExperimentConfig base;
-  base.stream = fleet_spec(16, 3);
-  base.k = 3;
-  base.epsilon = 0.1;
-  base.steps = 120;
-  base.trials = 3;
-  base.seed = 31;
-  base.opt_kind = OptKind::kNone;
-  base.faults = fault_preset("flaky");
-  base.faults.seed = 13;
-
-  std::vector<SweepRow> rows;
-  for (const std::string protocol : {"combined", "topk_protocol", "half_error"}) {
-    ExperimentConfig cfg = base;
-    cfg.protocol = protocol;
-    rows.push_back({protocol, cfg});
-  }
-  const std::vector<ExperimentResult> grouped = run_sweep(rows, 2);
-
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const ExperimentResult solo = run_experiment(rows[i].cfg);
-    EXPECT_EQ(grouped[i].messages.samples(), solo.messages.samples())
-        << rows[i].label;
-    EXPECT_EQ(grouped[i].last_run.messages_lost, solo.last_run.messages_lost)
-        << rows[i].label;
-    EXPECT_EQ(grouped[i].last_run.stale_reads, solo.last_run.stale_reads)
-        << rows[i].label;
-    EXPECT_EQ(grouped[i].last_run.recovery_rounds, solo.last_run.recovery_rounds)
-        << rows[i].label;
-  }
-}
-
 // --- engine path -----------------------------------------------------------
 
 TEST(EngineFaults, AllZeroScheduleIsBitIdentical) {
@@ -351,6 +312,55 @@ TEST(EngineFaults, AllZeroScheduleIsBitIdentical) {
   EXPECT_EQ(faulted.messages_lost, 0u);
   EXPECT_EQ(faulted.stale_reads, 0u);
   EXPECT_EQ(faulted.recovery_rounds, 0u);
+}
+
+// Queries of one engine, with probe sharing off and the seed a standalone
+// Simulator would use, must each book exactly what that Simulator books on the
+// same degraded fleet: the engine injects the schedule once per step, the
+// standalone run once per fleet, and both must script the identical faults.
+TEST(EngineFaults, QueriesMatchStandaloneSimulatorsUnderFaults) {
+  FaultConfig fcfg = fault_preset("flaky");
+  fcfg.horizon = 120;
+  fcfg.seed = 13;
+  const FleetSchedulePtr sched = make_fleet_schedule(fcfg, 16);
+  ASSERT_NE(sched, nullptr);
+  constexpr std::uint64_t kSeed = 31;
+  const std::vector<std::string> protocols = {"combined", "topk_protocol",
+                                              "half_error"};
+
+  EngineConfig ecfg;
+  ecfg.threads = 2;
+  ecfg.seed = kSeed;
+  ecfg.share_probes = false;
+  ecfg.faults = sched;
+  MonitoringEngine engine(ecfg, make_stream(fleet_spec(16, 3)));
+  for (const std::string& protocol : protocols) {
+    QuerySpec spec;
+    spec.protocol = protocol;
+    spec.k = 3;
+    spec.epsilon = 0.1;
+    spec.strict = true;
+    spec.seed = kSeed;
+    engine.add_query(spec);
+  }
+  const EngineStats stats = engine.run(120);
+  EXPECT_GT(stats.stale_reads, 0u);
+  EXPECT_GT(stats.messages_lost, 0u);
+
+  for (std::size_t q = 0; q < protocols.size(); ++q) {
+    auto solo = make_sim(protocols[q], sched, kSeed, 16, 3);
+    const RunResult r = solo.run(120);
+    const RunResult& e = stats.queries[q].run;
+    EXPECT_EQ(e.messages, r.messages) << protocols[q];
+    EXPECT_EQ(e.by_tag, r.by_tag) << protocols[q];
+    EXPECT_EQ(e.messages_lost, r.messages_lost) << protocols[q];
+    EXPECT_EQ(e.recovery_rounds, r.recovery_rounds) << protocols[q];
+    // Stale reads are a fleet-level count: the engine's one injector books
+    // them once, and each standalone fleet books the same total.
+    EXPECT_EQ(stats.stale_reads, r.stale_reads) << protocols[q];
+    EXPECT_EQ(engine.output(static_cast<QueryHandle>(q)), solo.protocol().output())
+        << protocols[q];
+  }
 }
 
 TEST(EngineFaults, DegradedFleetIsDeterministicAcrossThreadCounts) {

@@ -2,10 +2,10 @@
 //
 // A steady-state step — quiescent protocol, warmed-up buffers — must not
 // touch the heap: FleetState, TopKOrder, the window rings, the injector
-// ring and the scratch arenas are all preallocated. These tests *measure*
-// that with the counting allocator hook (util/alloc_counter.hpp) instead of
-// trusting it; they skip when the hook is compiled out (sanitizer builds,
-// which install their own allocator).
+// ring and the strict-mode filter snapshot are all reused across steps.
+// These tests *measure* that with the counting allocator hook
+// (util/alloc_counter.hpp) instead of trusting it; they skip when the hook
+// is compiled out (sanitizer builds, which install their own allocator).
 //
 // This suite is also the regression test for the lazy strict-mode snapshot:
 // the validator's filter snapshot must only be captured when strict
@@ -21,7 +21,6 @@
 #include "sim/simulator.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/alloc_counter.hpp"
-#include "util/arena.hpp"
 #include "util/rng.hpp"
 
 namespace topkmon {
@@ -296,30 +295,11 @@ TEST(HotPathAlloc, FilterBroadcastIsAllocFree) {
   EXPECT_GT(violations, 0u);
 }
 
-TEST(HotPathAlloc, ScratchArenaReachesSteadyState) {
-  SKIP_WITHOUT_ALLOC_HOOK();
-  ScratchArena arena;
-  for (int i = 0; i < 4; ++i) {  // warm to the high-water mark
-    arena.reset();
-    arena.get<std::uint64_t>(100);
-    arena.get<std::uint8_t>(37);
-  }
-  AllocProbe probe;
-  for (int i = 0; i < 100; ++i) {
-    arena.reset();
-    auto a = arena.get<std::uint64_t>(100);
-    auto b = arena.get<std::uint8_t>(37);
-    a[99] = 1;
-    b[36] = 2;
-  }
-  EXPECT_EQ(probe.delta(), 0u);
-}
-
 // Satellite regression: the strict-mode filter snapshot is captured lazily.
 // A non-strict simulator must never build it — proven by the zero-alloc
 // loop above — and a strict one must keep working (validation still fires
-// through the reusable arena).
-TEST(HotPathAlloc, StrictModeStillValidatesThroughArena) {
+// on the reused filter snapshot).
+TEST(HotPathAlloc, StrictModeStillValidates) {
   SimConfig cfg;
   cfg.k = 3;
   cfg.epsilon = 0.1;

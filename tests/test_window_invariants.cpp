@@ -8,8 +8,9 @@
 //     mixed-window queries, with and without probe sharing;
 //   * an engine-served windowed query matches a standalone windowed
 //     Simulator bit-for-bit (the injection seam agrees on both paths);
-//   * WindowedOpt equals OfflineOpt on the naively windowed history and the
-//     brute-force minimal phase partition on small instances;
+//   * OfflineOpt on windowed_history equals OfflineOpt on the naively
+//     windowed history and the brute-force minimal phase partition on small
+//     instances;
 //   * the on_window_expiry hook fires exactly on expiry steps.
 #include "model/window.hpp"
 
@@ -21,7 +22,7 @@
 #include "engine/engine.hpp"
 #include "model/oracle.hpp"
 #include "offline/brute_force.hpp"
-#include "offline/windowed_opt.hpp"
+#include "offline/opt.hpp"
 #include "protocols/registry.hpp"
 #include "sim/simulator.hpp"
 #include "streams/registry.hpp"
@@ -259,10 +260,10 @@ TEST(WindowEngine, WindowedQueryMatchesStandaloneSimulator) {
 }
 
 TEST(WindowEngine, SweepRunnerGroupsMixedWindowCellsBitIdentically) {
-  // Cells differing only in (protocol, W) share one engine group in
-  // run_sweep; each must still report exactly what its standalone
-  // run_experiment (one Simulator per trial, windowed history + plain OPT)
-  // reports — including the windowed competitive baseline.
+  // Cells differing only in (protocol, W) each report from run_sweep
+  // exactly what their standalone run_experiment (one Simulator per trial,
+  // windowed history + plain OPT) reports — including the windowed
+  // competitive baseline.
   std::vector<SweepRow> rows;
   for (const auto& protocol : {"combined", "naive_change"}) {
     for (const std::size_t window : {kInfiniteWindow, std::size_t{5}}) {
@@ -301,13 +302,14 @@ TEST(WindowedOptTest, EqualsPlainOptOnNaivelyWindowedHistory) {
     for (std::size_t t = 0; t < history.size(); ++t) {
       naive.push_back(naive_window_max(history, t, window));
     }
+    const auto windowed = windowed_history(history, window);
     for (const double eps : {0.0, 0.1}) {
-      const OptReport a = WindowedOpt::approx(history, 2, eps, window);
+      const OptReport a = OfflineOpt::approx(windowed, 2, eps);
       const OptReport b = OfflineOpt::approx(naive, 2, eps);
       EXPECT_EQ(a.phases, b.phases) << "W=" << window << " eps=" << eps;
       EXPECT_EQ(a.phase_starts, b.phase_starts);
     }
-    const OptReport a = WindowedOpt::exact(history, 2, window);
+    const OptReport a = OfflineOpt::exact(windowed, 2);
     const OptReport b = OfflineOpt::exact(naive, 2);
     EXPECT_EQ(a.phases, b.phases);
   }
@@ -317,7 +319,7 @@ TEST(WindowedOptTest, GreedyPartitionIsMinimalOnSmallInstances) {
   const auto history = random_history(4, 16, 9, 40);
   for (const std::size_t window : {2u, 5u}) {
     const auto windowed = windowed_history(history, window);
-    const OptReport greedy = WindowedOpt::approx(history, 2, 0.1, window);
+    const OptReport greedy = OfflineOpt::approx(windowed, 2, 0.1);
     EXPECT_EQ(greedy.phases, min_phases_brute(windowed, 2, 0.1)) << "W=" << window;
   }
 }
