@@ -80,28 +80,6 @@ inline void write_telemetry(const BenchArgs& args,
 
 namespace detail {
 
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Emits a table cell as a JSON number when it parses as one (ignoring the
 /// thousands separators format_count inserts), else as a string.
 inline std::string json_cell(const std::string& cell) {

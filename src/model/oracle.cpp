@@ -153,11 +153,6 @@ std::string Oracle::explain_invalid(std::span<const Value> values, std::size_t k
   return "";
 }
 
-bool Oracle::kselect_valid(std::span<const Value> values, std::size_t k,
-                           double epsilon, Value answer) {
-  return in_neighborhood(answer, kth_value(values, k), epsilon);
-}
-
 std::string Oracle::explain_kselect_invalid(std::span<const Value> values,
                                             std::size_t k, double epsilon,
                                             Value answer) {

@@ -92,18 +92,16 @@ class Oracle {
   static bool output_valid(std::span<const Value> values, std::size_t k, double epsilon,
                            const OutputSet& output);
 
-  /// Human-readable reason why `output` is invalid ("" if valid); for tests.
+  /// Human-readable reason why `output` is invalid ("" if valid); strict
+  /// mode (`Simulator::validate_strict`) aborts with it.
   static std::string explain_invalid(std::span<const Value> values, std::size_t k,
                                      double epsilon, const OutputSet& output);
 
-  /// ε-approximate k-select validity: the answer lies in the ε-neighborhood
-  /// A(t) of the true k-th largest value, i.e. (1−ε)·v_k ≤ answer and
-  /// (1−ε)·answer ≤ v_k — the correctness contract of KSelectQueries
-  /// (arXiv:1709.07259), checked in strict mode and by the fuzz harness.
-  static bool kselect_valid(std::span<const Value> values, std::size_t k,
-                            double epsilon, Value answer);
-
-  /// Human-readable reason why `answer` is invalid ("" if valid); for tests.
+  /// ε-approximate k-select validity: "" if the answer lies in the
+  /// ε-neighborhood A(t) of the true k-th largest value, i.e.
+  /// (1−ε)·v_k ≤ answer and (1−ε)·answer ≤ v_k — the correctness contract of
+  /// KSelectQueries (arXiv:1709.07259) — else a human-readable reason. Strict
+  /// mode (`Simulator::validate_strict`) and the fuzz harness check it.
   static std::string explain_kselect_invalid(std::span<const Value> values,
                                              std::size_t k, double epsilon,
                                              Value answer);

@@ -47,10 +47,6 @@ class ThresholdAlertMonitor : public MonitoringProtocol, public QueryCapabilitie
   bool alert_active() const override { return above_count_ > 0; }
   std::uint64_t above_count() const override { return above_count_; }
 
-  // Introspection for tests/benches.
-  Value bound() const { return bound_; }
-  bool is_above(NodeId i) const { return above_[i] != 0; }
-
  private:
   Filter above_filter() const;
   Filter below_filter() const;

@@ -70,7 +70,6 @@ class CommStats {
   /// p = 0 disables the model and performs no draws at all (bit-identical
   /// accounting to a CommStats without loss).
   void enable_loss(double p, Rng rng);
-  double loss_p() const { return loss_p_; }
 
   /// Injector-side: `n` node observations served stale this step.
   void add_stale_reads(std::uint64_t n) { stale_reads_ += n; }

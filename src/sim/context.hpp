@@ -246,7 +246,6 @@ class SimContext {
   /// Installs (or clears, with nullptr) the cross-query probe batching hook;
   /// the sharer must outlive this context. Engine plumbing only.
   void set_probe_sharer(ProbeSharer* sharer) { probe_sharer_ = sharer; }
-  ProbeSharer* probe_sharer() const { return probe_sharer_; }
 
   /// Arms (or clears) the per-phase step profiler: collect_violations times
   /// itself under Phase::kViolationCollect. Simulator plumbing.
@@ -267,7 +266,6 @@ class SimContext {
       filter_dirty_ids_.reserve(n());
     }
   }
-  bool filter_tracking() const { return track_filters_; }
 
   /// Node ids whose filter changed since the last advance_time (valid only
   /// with tracking enabled; unspecified order, each id at most once).

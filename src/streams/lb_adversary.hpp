@@ -41,8 +41,6 @@ class LbAdversaryStream final : public StreamGenerator {
   std::uint64_t phases_completed() const { return phases_; }
   /// Drops performed (each forces ≥ 1 online message).
   std::uint64_t drops_performed() const { return drops_total_; }
-  /// Steps per phase: sigma − k drops + 1 reset step.
-  std::size_t phase_length() const { return cfg_.sigma - cfg_.k + 1; }
 
  private:
   void reset_phase(ValueVector& out);

@@ -44,7 +44,6 @@ class OscillatingStream final : public StreamGenerator {
   std::string_view name() const override { return "oscillating"; }
   std::unique_ptr<StreamGenerator> clone() const override;
 
-  std::size_t high_count() const { return high_; }
   Value band_lo() const { return band_lo_; }
   Value band_hi() const { return band_top_cur_; }
 

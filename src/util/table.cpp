@@ -114,32 +114,11 @@ std::string Table::to_csv() const {
 }
 
 std::string Table::to_json() const {
-  const auto escape = [](const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-          } else {
-            out += c;
-          }
-      }
-    }
-    return out;
-  };
-  std::string out = "{\n  \"title\": \"" + escape(title_) + "\",\n  \"rows\": [\n";
+  std::string out = "{\n  \"title\": \"" + json_escape(title_) + "\",\n  \"rows\": [\n";
   for (std::size_t r = 0; r < rows_.size(); ++r) {
     out += "    {";
     for (std::size_t c = 0; c < rows_[r].size(); ++c) {
-      out += "\"" + escape(header_[c]) + "\": \"" + escape(rows_[r][c]) + "\"";
+      out += "\"" + json_escape(header_[c]) + "\": \"" + json_escape(rows_[r][c]) + "\"";
       if (c + 1 < rows_[r].size()) out += ", ";
     }
     out += r + 1 < rows_.size() ? "},\n" : "}\n";
@@ -149,6 +128,28 @@ std::string Table::to_json() const {
 }
 
 void Table::print(std::ostream& os) const { os << to_ascii() << "\n"; }
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
 
 std::string format_double(double v, int precision) {
   char buf[64];

@@ -1,13 +1,14 @@
 // ASCII / markdown / CSV table emission for benches and examples.
 //
-// Bench binaries print paper-style tables; EXPERIMENTS.md quotes them
-// verbatim, so the format is stable: fixed-width ASCII with a title line,
-// plus optional CSV dump for downstream plotting.
+// Bench binaries print paper-style tables that zero-drift checks compare
+// byte for byte, so the format is stable: fixed-width ASCII with a title
+// line, plus optional CSV dump for downstream plotting.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace topkmon {
@@ -59,5 +60,9 @@ std::string format_double(double v, int precision = 2);
 
 /// Formats an integer with thousands separators ("1,234,567").
 std::string format_count(std::uint64_t v);
+
+/// Escapes `s` for the inside of a JSON string literal: `"` and `\`, `\n`
+/// and `\t` by their short forms, other control bytes as `\u00XX`.
+std::string json_escape(std::string_view s);
 
 }  // namespace topkmon

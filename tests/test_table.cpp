@@ -39,6 +39,21 @@ TEST(Table, RowColumnCounts) {
   EXPECT_EQ(t.cols(), 3u);
 }
 
+TEST(Table, JsonEscapesQuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json_escape("a\nb\tc"), "a\\nb\\tc");
+  EXPECT_EQ(json_escape(std::string("a\x01" "b")), "a\\u0001b");
+
+  Table t("say \"hi\"");
+  t.header({"k\\v"});
+  t.add_row({"x\ty"});
+  const auto s = t.to_json();
+  EXPECT_NE(s.find("\"title\": \"say \\\"hi\\\"\""), std::string::npos);
+  EXPECT_NE(s.find("{\"k\\\\v\": \"x\\ty\"}"), std::string::npos);
+}
+
 TEST(FormatDouble, TrimsTrailingZeros) {
   EXPECT_EQ(format_double(1.5, 3), "1.5");
   EXPECT_EQ(format_double(2.0, 2), "2");
