@@ -20,13 +20,14 @@ namespace topkmon::bench {
 /// Common CLI, declared through Options (apps/options.hpp): --trials,
 /// --steps, --seed, --csv (emit CSV after the table), --json=<path> (append
 /// every emitted table to a machine-readable JSON file for the perf
-/// trajectory), --threads (sweep pool size; 0 = auto), --telemetry[=<path>]
-/// (attach the per-phase step profiler to every cell and write the telemetry
-/// JSON document — src/telemetry — at exit; the scoped timers run ONLY with
-/// this flag, keeping default bench runs perf-identical to a telemetry-less
-/// build). --help prints the flags and exits 0. Any other flag, or a
-/// malformed value, is a typo: the bench names it and exits 2 instead of
-/// silently running the defaults.
+/// trajectory), --threads (sweep pool size; 0 = auto). Benches that profile
+/// their cells also take --telemetry[=<path>] (attach the per-phase step
+/// profiler to every cell and write the telemetry JSON document —
+/// src/telemetry — at exit; the scoped timers run ONLY with this flag,
+/// keeping default bench runs perf-identical to a telemetry-less build).
+/// --help prints the flags and exits 0. Any other flag, or a malformed
+/// value, is a typo: the bench names it and exits 2 instead of silently
+/// running the defaults.
 struct BenchArgs {
   std::size_t trials = 5;
   TimeStep steps = 600;
@@ -36,7 +37,10 @@ struct BenchArgs {
   std::size_t threads = 0;
   std::string telemetry;  ///< telemetry JSON path; empty = off
 
-  static BenchArgs parse(int argc, char** argv) {
+  /// `with_telemetry` declares --telemetry. Only the benches that write the
+  /// telemetry document pass true; on every other bench the flag is an
+  /// unknown flag (exit 2) rather than silently ignored.
+  static BenchArgs parse(int argc, char** argv, bool with_telemetry = false) {
     BenchArgs a;
     Options opts(argc > 0 ? argv[0] : "bench", "experiment table");
     opts.add_size("trials", &a.trials, "independent trials per cell");
@@ -45,8 +49,10 @@ struct BenchArgs {
     opts.add_bool("csv", &a.csv, "also print each table as CSV");
     opts.add_string("json", &a.json, "write every table to this JSON file");
     opts.add_size("threads", &a.threads, "sweep pool size (0 = auto)");
-    opts.add_optional_path("telemetry", &a.telemetry, "telemetry.json",
-                           "profile every cell and write telemetry JSON");
+    if (with_telemetry) {
+      opts.add_optional_path("telemetry", &a.telemetry, "telemetry.json",
+                             "profile every cell and write telemetry JSON");
+    }
     opts.parse_or_exit(argc, argv);
     return a;
   }

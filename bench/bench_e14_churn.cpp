@@ -73,7 +73,7 @@ CellResult run_cell(const ChurnCell& cell, const BenchArgs& args,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = BenchArgs::parse(argc, argv);
+  const BenchArgs args = BenchArgs::parse(argc, argv, /*with_telemetry=*/true);
 
   // The active SIMD tier is reported outside the table title: baseline row
   // matching must not depend on the gate runner's ISA.

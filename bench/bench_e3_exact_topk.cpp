@@ -33,7 +33,7 @@ ExperimentConfig base_cfg(const BenchArgs& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = BenchArgs::parse(argc, argv);
+  const BenchArgs args = BenchArgs::parse(argc, argv, /*with_telemetry=*/true);
 
   {
     Table t("E3a / Table 3a — exact monitor vs exact OPT: ratio ~ k log n + log Δ "

@@ -14,7 +14,7 @@ using namespace topkmon;
 using bench::BenchArgs;
 
 int main(int argc, char** argv) {
-  const BenchArgs args = BenchArgs::parse(argc, argv);
+  const BenchArgs args = BenchArgs::parse(argc, argv, /*with_telemetry=*/true);
 
   {
     Table t("E4a / Table 4a — Δ sweep on phase-torture: TOP-K-PROTOCOL (ε=0.2) vs "

@@ -16,7 +16,7 @@ using namespace topkmon;
 using bench::BenchArgs;
 
 int main(int argc, char** argv) {
-  const BenchArgs args = BenchArgs::parse(argc, argv);
+  const BenchArgs args = BenchArgs::parse(argc, argv, /*with_telemetry=*/true);
 
   const std::vector<std::string> protocols{"naive_central", "naive_change",
                                            "exact_topk", "topk_protocol",

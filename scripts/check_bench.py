@@ -27,9 +27,9 @@ gate several benches). Rows are matched across files by their key columns
 (every column that is not a measurement). Two classes of checks:
 
   * deterministic counters ("messages", "serial messages", "shared probe
-    msgs", "identical", "expirations", "opt phases") must match EXACTLY —
-    the simulator is bit-reproducible across machines, so any drift is a
-    real behavioral change, not noise;
+    msgs", "identical", "expirations", "opt phases", "checksum", …) must
+    match EXACTLY — the simulator is bit-reproducible across machines, so
+    any drift is a real behavioral change, not noise;
   * the throughput metric (default "query-steps/s") must not regress below
     (1 - tolerance) x baseline. Hardware differs between the machine that
     wrote the baseline and the one checking, so this gate only means much
@@ -61,9 +61,12 @@ import sys
 # "broadcasts" gates the k-select structure's floor-move economics
 # (bench_e16_kselect): the band ladder pays broadcasts only on refills and
 # compactions, so a broadcast-count drift is a maintenance-policy change.
+# "checksum" hashes a stream generator's final vector and Rng state
+# (bench_e13_hotpath's generator table): a faster generator must draw and
+# produce exactly the same values.
 EXACT_COLUMNS = {"messages", "serial messages", "shared probe msgs", "identical",
                  "expirations", "opt phases", "allocs/step", "repairs", "rebuilds",
-                 "broadcasts"}
+                 "broadcasts", "checksum"}
 # Columns that are wall-clock measurements or derived ratios: never compared
 # directly (the throughput metric below is the one gated, with tolerance).
 NOISY_COLUMNS = {"engine ms", "serial ms", "speedup", "ns/step", "query-steps/s",

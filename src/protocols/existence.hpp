@@ -26,7 +26,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -101,15 +100,13 @@ ExistenceResult ExistenceProtocol::run_active(std::size_t n,
         res.senders.push_back({i, value(i)});
       }
     } else {
-      // Rng::bernoulli(p) = uniform01() < p with uniform01() = (x >> 11)·2^-53.
-      // Both sides scale by 2^53 exactly, so on the integer u = x >> 11 the
-      // test is u < ⌈p·2^53⌉ — the same outcome, without the conversion.
-      const auto below = static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+      // The integer form of Rng::bernoulli(p): the same outcome per draw.
+      const std::uint64_t bound = Rng::bernoulli_bound(p);
       // Drawing from a local copy keeps the xoshiro state in registers
       // instead of storing it through the reference on every draw.
       Rng local = rng;
       for (const NodeId i : active) {
-        if ((local.next_u64() >> 11) < below) {
+        if (local.bernoulli_bounded(bound)) {
           res.senders.push_back({i, value(i)});
         }
       }

@@ -28,21 +28,34 @@ void RandomWalkStream::init(ValueVector& out, Rng& rng) {
 
 void RandomWalkStream::step(TimeStep, const AdversaryView&, ValueVector& out,
                             Rng& rng) {
+  // bernoulli(1) keeps every node put without a draw.
+  if (cfg_.laziness >= 1.0) return;
+  // bernoulli(0) moves every node without a draw.
+  const bool lazy_draws = cfg_.laziness > 0.0;
+  const std::uint64_t lazy_bound = lazy_draws ? Rng::bernoulli_bound(cfg_.laziness) : 0;
+  const std::uint64_t up_bound = Rng::bernoulli_bound(0.5);
+  const Value steps = cfg_.max_step;
+  const Value lo = cfg_.lo;
+  const Value hi = cfg_.hi;
+  // Drawing from a local copy keeps the xoshiro state in registers instead
+  // of storing it through the reference on every draw.
+  Rng local = rng;
   for (auto& v : out) {
-    if (rng.bernoulli(cfg_.laziness)) continue;
-    const Value delta = rng.uniform_u64(1, cfg_.max_step);
-    if (rng.bernoulli(0.5)) {
-      // Move up, reflect at hi.
-      const Value headroom = cfg_.hi - v;
-      v = (delta <= headroom) ? v + delta : cfg_.hi - (delta - headroom);
-    } else {
-      // Move down, reflect at lo.
-      const Value room = v - cfg_.lo;
-      v = (delta <= room) ? v - delta : cfg_.lo + (delta - room);
-    }
-    if (v < cfg_.lo) v = cfg_.lo;
-    if (v > cfg_.hi) v = cfg_.hi;
+    if (lazy_draws && local.bernoulli_bounded(lazy_bound)) continue;
+    // uniform_u64(1, max_step) = 1 + below(max_step).
+    const Value delta = 1 + local.below(steps);
+    const bool up = local.bernoulli_bounded(up_bound);
+    // Move up reflecting at hi, or down reflecting at lo; both are computed
+    // and selected so the coin flip costs no branch.
+    const Value headroom = hi - v;
+    const Value room = v - lo;
+    const Value raised = delta <= headroom ? v + delta : hi - (delta - headroom);
+    const Value lowered = delta <= room ? v - delta : lo + (delta - room);
+    Value next = up ? raised : lowered;
+    next = next < lo ? lo : next;
+    v = next > hi ? hi : next;
   }
+  rng = local;
 }
 
 std::unique_ptr<StreamGenerator> RandomWalkStream::clone() const {

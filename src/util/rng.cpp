@@ -38,32 +38,6 @@ Rng Rng::derive(std::uint64_t seed, std::uint64_t stream_id) {
   return Rng(a ^ rotl(b, 17) ^ (stream_id * 0x9e3779b97f4a7c15ULL));
 }
 
-std::uint64_t Rng::below(std::uint64_t n) {
-  TOPKMON_ASSERT(n > 0);
-  // Lemire's nearly-divisionless method with rejection for exact uniformity.
-  std::uint64_t x = next_u64();
-  __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
-  std::uint64_t lo = static_cast<std::uint64_t>(m);
-  if (lo < n) {
-    const std::uint64_t threshold = (0 - n) % n;
-    while (lo < threshold) {
-      x = next_u64();
-      m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
-std::uint64_t Rng::uniform_u64(std::uint64_t lo, std::uint64_t hi) {
-  TOPKMON_ASSERT(lo <= hi);
-  const std::uint64_t span = hi - lo;
-  if (span == ~0ULL) {
-    return next_u64();
-  }
-  return lo + below(span + 1);
-}
-
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform01(); }
 
 double Rng::normal(double mean, double stddev) {

@@ -8,8 +8,11 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <vector>
+
+#include "util/assert.hpp"
 
 namespace topkmon {
 
@@ -49,10 +52,28 @@ class Rng {
   static constexpr std::uint64_t max() { return ~0ULL; }
 
   /// Uniform integer in [lo, hi] (inclusive); requires lo <= hi.
-  std::uint64_t uniform_u64(std::uint64_t lo, std::uint64_t hi);
+  std::uint64_t uniform_u64(std::uint64_t lo, std::uint64_t hi) {
+    TOPKMON_ASSERT(lo <= hi);
+    const std::uint64_t span = hi - lo;
+    if (span == ~0ULL) return next_u64();
+    return lo + below(span + 1);
+  }
 
-  /// Uniform integer in [0, n) via Lemire rejection; requires n > 0.
-  std::uint64_t below(std::uint64_t n);
+  /// Uniform integer in [0, n) via Lemire's nearly-divisionless method with
+  /// rejection for exact uniformity; requires n > 0. The rejection threshold
+  /// (2^64 − n) mod n is computed only on the rare draw whose low word is
+  /// under n, so a loop gains nothing by computing it up front.
+  std::uint64_t below(std::uint64_t n) {
+    TOPKMON_ASSERT(n > 0);
+    __uint128_t m = static_cast<__uint128_t>(next_u64()) * n;
+    if (static_cast<std::uint64_t>(m) < n) {
+      const std::uint64_t threshold = (0 - n) % n;
+      while (static_cast<std::uint64_t>(m) < threshold) {
+        m = static_cast<__uint128_t>(next_u64()) * n;
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform double in [0, 1): the top 53 bits of one draw.
   double uniform01() { return static_cast<double>(next_u64() >> 11) * 0x1.0p-53; }
@@ -67,6 +88,21 @@ class Rng {
     if (p >= 1.0) return true;
     return uniform01() < p;
   }
+
+  /// The integer bound ⌈p·2^53⌉ of `bernoulli(p)`, for 0 < p < 1.
+  /// `bernoulli(p)` tests uniform01() = (x >> 11)·2^-53 < p. Both sides scale
+  /// by 2^53 exactly, so on the integer u = x >> 11 the test is
+  /// u < ⌈p·2^53⌉: `bernoulli_bounded(bernoulli_bound(p))` equals
+  /// `bernoulli(p)` draw for draw, without the int→double conversion. For
+  /// p ≤ 0 or p ≥ 1 `bernoulli` draws nothing; callers handle those p
+  /// themselves.
+  static std::uint64_t bernoulli_bound(double p) {
+    TOPKMON_ASSERT(p > 0.0 && p < 1.0);
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  }
+
+  /// One Bernoulli trial against a bound from `bernoulli_bound`.
+  bool bernoulli_bounded(std::uint64_t bound) { return (next_u64() >> 11) < bound; }
 
   /// Standard normal via Box-Muller (no cached spare; stateless wrt pairs).
   double normal(double mean = 0.0, double stddev = 1.0);

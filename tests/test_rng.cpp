@@ -86,6 +86,85 @@ TEST(Rng, BernoulliRoughlyCalibrated) {
   EXPECT_NEAR(p, 0.3, 0.01);
 }
 
+// The definition `below` had before it moved inline: Lemire's method with the
+// rejection threshold computed on the draw that might be rejected.
+std::uint64_t reference_below(Rng& rng, std::uint64_t n) {
+  std::uint64_t x = rng.next_u64();
+  __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
+  std::uint64_t lo = static_cast<std::uint64_t>(m);
+  if (lo < n) {
+    const std::uint64_t threshold = (0 - n) % n;
+    while (lo < threshold) {
+      x = rng.next_u64();
+      m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
+      lo = static_cast<std::uint64_t>(m);
+    }
+  }
+  return static_cast<std::uint64_t>(m >> 64);
+}
+
+TEST(Rng, BernoulliBoundedMatchesBernoulliDrawForDraw) {
+  for (const double p : {0x1.0p-60, 1.0 / 16384.0, 0.25, 0.5, 1.0 - 0x1.0p-53}) {
+    SCOPED_TRACE(p);
+    Rng fast(41);
+    Rng ref(41);
+    const std::uint64_t bound = Rng::bernoulli_bound(p);
+    int hits = 0;
+    for (int i = 0; i < 100000; ++i) {
+      const bool got = fast.bernoulli_bounded(bound);
+      ASSERT_EQ(got, ref.bernoulli(p)) << "draw " << i;
+      hits += got ? 1 : 0;
+    }
+    EXPECT_EQ(fast.state(), ref.state());
+    if (p == 0.5) EXPECT_NEAR(hits / 100000.0, 0.5, 0.01);
+  }
+  // The bound is exact at the edges of the 53-bit grid.
+  EXPECT_EQ(Rng::bernoulli_bound(0x1.0p-60), 1u);
+  EXPECT_EQ(Rng::bernoulli_bound(0.5), std::uint64_t{1} << 52);
+  EXPECT_EQ(Rng::bernoulli_bound(1.0 - 0x1.0p-53), (std::uint64_t{1} << 53) - 1);
+}
+
+TEST(Rng, BelowMatchesReferenceLemireDrawForDraw) {
+  // (1 << 63) + 1 rejects about half its draws; ~0 and 1 are the extremes.
+  for (const std::uint64_t n :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{7}, std::uint64_t{64},
+        std::uint64_t{1000003}, (std::uint64_t{1} << 63) + 1, ~std::uint64_t{0}}) {
+    SCOPED_TRACE(n);
+    Rng rng(43);
+    Rng ref(43);
+    for (int i = 0; i < 20000; ++i) {
+      ASSERT_EQ(rng.below(n), reference_below(ref, n)) << "draw " << i;
+      ASSERT_EQ(rng.state(), ref.state());
+    }
+  }
+  // The rejection path really runs: 20000 values below 2^63 + 1 take more
+  // than 20000 draws.
+  Rng counted(43);
+  Rng draws(43);
+  std::uint64_t extra = 0;
+  for (int i = 0; i < 20000; ++i) {
+    counted.below((std::uint64_t{1} << 63) + 1);
+    draws.next_u64();
+    for (int k = 0; k < 200 && draws.state() != counted.state(); ++k) {
+      draws.next_u64();
+      ++extra;
+    }
+    ASSERT_EQ(draws.state(), counted.state());
+  }
+  EXPECT_GT(extra, 5000u);
+}
+
+TEST(Rng, UniformU64MatchesReferenceDrawForDraw) {
+  Rng rng(47);
+  Rng ref(47);
+  for (int i = 0; i < 20000; ++i) {
+    ASSERT_EQ(rng.uniform_u64(1, 64), 1 + reference_below(ref, 64));
+    ASSERT_EQ(rng.uniform_u64(0, ~std::uint64_t{0}), ref.next_u64());
+    ASSERT_EQ(rng.uniform_u64(5, 5), 5 + reference_below(ref, 1));
+  }
+  EXPECT_EQ(rng.state(), ref.state());
+}
+
 TEST(Rng, NormalMoments) {
   Rng rng(23);
   double sum = 0.0, sq = 0.0;

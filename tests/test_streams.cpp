@@ -169,6 +169,86 @@ TEST(RandomWalk, StepsBounded) {
   }
 }
 
+// The per-node loop of the draw contract in streams/random_walk.hpp, written
+// with plain Rng calls. Counts the reflections it takes at each bound so the
+// test can show that both were exercised.
+struct ReflectCounts {
+  std::uint64_t at_hi = 0;
+  std::uint64_t at_lo = 0;
+};
+
+void reference_walk_step(const RandomWalkConfig& cfg, ValueVector& out, Rng& rng,
+                         ReflectCounts& reflected) {
+  for (auto& v : out) {
+    if (rng.bernoulli(cfg.laziness)) continue;
+    const Value delta = rng.uniform_u64(1, cfg.max_step);
+    if (rng.bernoulli(0.5)) {
+      const Value headroom = cfg.hi - v;
+      if (delta > headroom) ++reflected.at_hi;
+      v = (delta <= headroom) ? v + delta : cfg.hi - (delta - headroom);
+    } else {
+      const Value room = v - cfg.lo;
+      if (delta > room) ++reflected.at_lo;
+      v = (delta <= room) ? v - delta : cfg.lo + (delta - room);
+    }
+    if (v < cfg.lo) v = cfg.lo;
+    if (v > cfg.hi) v = cfg.hi;
+  }
+}
+
+TEST(RandomWalk, StepMatchesReferenceLoopDrawForDraw) {
+  struct Case {
+    std::size_t n;
+    Value lo, hi, max_step;
+    double laziness;
+    bool reflects;  ///< the case must reflect at both bounds
+  };
+  const Case cases[] = {
+      {64, 100, 200, 5, 0.25, true},        // lo > 0, reflection at both bounds
+      {64, 1000, 1010, 64, 0.0, true},      // no laziness draw; steps overshoot the range
+      {64, 0, 1 << 20, 64, 1.0, false},     // never moves, never draws
+      {256, 0, 1 << 20, 64, 0.25, false},   // the registry default
+      {64, 7, 1 << 20, (Value{1} << 63) + 1, 0.5, true},  // Lemire rejects ~half
+  };
+  for (const Case& c : cases) {
+    RandomWalkConfig cfg;
+    cfg.n = c.n;
+    cfg.lo = c.lo;
+    cfg.hi = c.hi;
+    cfg.max_step = c.max_step;
+    cfg.laziness = c.laziness;
+    SCOPED_TRACE(::testing::Message() << "n=" << c.n << " lo=" << c.lo << " hi=" << c.hi
+                                      << " max_step=" << c.max_step
+                                      << " laziness=" << c.laziness);
+    RandomWalkStream g(cfg);
+    Rng rng(5);
+    ValueVector v(c.n);
+    g.init(v, rng);
+    ValueVector ref = v;
+    Rng ref_rng = rng;
+    const DummyFleet nodes(c.n);
+    OutputSet out{0};
+    ReflectCounts reflected;
+    for (TimeStep t = 1; t <= 300; ++t) {
+      g.step(t, dummy_view(nodes, out, 1, 0.1), v, rng);
+      reference_walk_step(cfg, ref, ref_rng, reflected);
+      ASSERT_EQ(v, ref) << "step " << t;
+      ASSERT_EQ(rng.state(), ref_rng.state()) << "step " << t;
+    }
+    if (c.reflects) {
+      EXPECT_GT(reflected.at_hi, 0u);
+      EXPECT_GT(reflected.at_lo, 0u);
+    }
+    if (c.laziness >= 1.0) {
+      Rng untouched(5);
+      ValueVector init(c.n);
+      g.init(init, untouched);
+      EXPECT_EQ(rng.state(), untouched.state());
+      EXPECT_EQ(v, init);
+    }
+  }
+}
+
 TEST(RandomWalk, SpreadInitIsEvenAndSorted) {
   RandomWalkConfig cfg;
   cfg.n = 10;
