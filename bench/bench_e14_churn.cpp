@@ -2,18 +2,14 @@
 // oscillation, over the churn cell grid of bench/hotpath_workload.hpp.
 //
 // Where bench_e13_hotpath measures the *quiescent* per-step overhead, this
-// table measures the regimes the paper actually studies — dense order churn
-// and Theorem 5.1-style oscillation — where every step pays the order
-// maintenance dense fallback (value radix sort), the violation sweep,
-// and (on the osc cell) real protocol rounds. CI-gated twin rules:
+// table measures the regimes the paper actually studies — dense value churn
+// and Theorem 5.1-style oscillation — where every step pays the σ(t) diff
+// and partition scan, the violation sweep, and (on the osc cell) real
+// protocol rounds. CI-gated twin rules:
 //
 //   * "query-steps/s"       — throughput, tolerance-gated; the n=16k churn
 //     row is the tentpole target (≥3× over the pre-vectorization engine);
-//   * "messages"            — EXACT-gated protocol traffic;
-//   * "repairs"/"rebuilds"  — EXACT-gated order-maintenance path counters:
-//     they prove the cells exercise the dense fallback / repair path they
-//     claim to, and pin the rebuild-vs-repair policy (a pure performance
-//     choice whose outputs are identical either way) against silent drift.
+//   * "messages"            — EXACT-gated protocol traffic.
 #include <chrono>
 
 #include "bench_common.hpp"
@@ -32,8 +28,6 @@ constexpr TimeStep kWarmupSteps = 64;
 struct CellResult {
   double steps_per_sec = 0.0;
   std::uint64_t messages = 0;
-  std::uint64_t repairs = 0;
-  std::uint64_t rebuilds = 0;
   TimeStep steps = 0;
 };
 
@@ -63,10 +57,6 @@ CellResult run_cell(const ChurnCell& cell, const BenchArgs& args,
   res.steps = steps;
   res.steps_per_sec = elapsed > 0.0 ? static_cast<double>(steps) / elapsed : 0.0;
   res.messages = run.sim->result().messages;
-  if (const TopKOrder* order = run.sim->fleet().order_if_ready()) {
-    res.repairs = order->repairs();
-    res.rebuilds = order->rebuilds();
-  }
   return res;
 }
 
@@ -81,8 +71,7 @@ int main(int argc, char** argv) {
   Table table("E14 — churn path: steps/s under dense churn (combined, k=8, ε=0.1, " +
               std::to_string(args.steps) + " steps, seed=" +
               std::to_string(args.seed) + ")");
-  table.header({"n", "workload", "steps", "query-steps/s", "messages", "repairs",
-                "rebuilds"});
+  table.header({"n", "workload", "steps", "query-steps/s", "messages"});
 
   telemetry::TelemetrySink sink;
   telemetry::StepProfiler* profiler =
@@ -92,8 +81,7 @@ int main(int argc, char** argv) {
     table.add_row({std::to_string(cell.n), bench::churn_workload_name(cell),
                    std::to_string(res.steps),
                    std::to_string(static_cast<std::uint64_t>(res.steps_per_sec)),
-                   std::to_string(res.messages), std::to_string(res.repairs),
-                   std::to_string(res.rebuilds)});
+                   std::to_string(res.messages)});
   }
   bench::emit(table, args);
   bench::write_telemetry(args, sink, "bench_e14");

@@ -4,8 +4,8 @@
 // Cells: n ∈ {64, 1k, 16k} × {instantaneous, W = 256} × {fault-free, churn}.
 // The value stream is *quiescent*: one random vector drawn per cell, fed to
 // step_with() every step. After the protocol's start round nothing violates,
-// so fault-free cells measure the pure per-step engine overhead — the cost
-// the incremental order / SoA refactor attacks — and the zero-allocation
+// so fault-free cells measure the pure per-step engine overhead — one diff
+// pass for σ(t), the SoA buffers reused in place — and the zero-allocation
 // invariant must hold exactly. Churn cells keep the same constant stream but
 // script membership toggles, so recovery rounds (and their allocations)
 // appear at deterministic steps.
@@ -84,21 +84,19 @@ inline std::string hotpath_workload_name(const HotPathCell& cell) {
 // the band) and churns the remaining nodes inside a low value band that
 // never crosses any filter:
 //
-//   * churn  — every band node redraws its value every step. The order
-//     maintenance diff finds ~n changed nodes, so each step takes the dense
-//     fallback (scan-mode σ; a value radix sort only if the order is read),
-//     while the protocol stays communication-quiescent — the cell isolates
-//     the local step cost under maximal value churn.
+//   * churn  — every band node redraws its value every step. The σ(t) diff
+//     finds ~n changed nodes, so each step pays the shadow copy and the
+//     partition scans, while the protocol stays communication-quiescent —
+//     the cell isolates the local step cost under maximal value churn.
 //   * sparse — one rotating residue class (n/16 nodes) redraws per cycle
-//     vector, so consecutive steps differ in two classes (~n/8 nodes, at
-//     the rebuild threshold but not over it): the splice path engages,
-//     burns its move budget on the scattered large displacements, and
-//     bails into scan mode — the cell pins that bail (the exact-gated
-//     repairs/rebuilds columns show a handful of repairs, one rebuild).
+//     vector, so consecutive steps differ in two classes (~n/8 nodes):
+//     moderate churn scattered over the band. Every step still changes the
+//     vector, so it pays the same σ(t) scan as churn on an eighth of the
+//     value movement.
 //   * osc    — churn plus one adversarial flapper oscillating between the
 //     band and above every leader (the Theorem 5.1 shape): a filter
 //     violation and an output change every step, so protocol rounds, probes
-//     and filter broadcasts run on top of the dense order churn.
+//     and filter broadcasts run on top of the dense value churn.
 //
 // Values are drawn once into a precomputed cycle of vectors so the measured
 // loop contains no generator cost; messages stay bit-reproducible.

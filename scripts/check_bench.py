@@ -55,9 +55,6 @@ import sys
 # (bench_e13_hotpath): fault-free steady-state rows must stay exactly 0
 # ("n/a" on churn rows, "off" when the counting hook is compiled out — gate
 # and baseline must agree on the build flavor, see .github/workflows).
-# "repairs"/"rebuilds" pin the order-maintenance path choice of the churn
-# bench (bench_e14_churn): outputs are identical on every path, so drift here
-# is a deliberate policy change that must go through a baseline refresh.
 # "broadcasts" gates the k-select structure's floor-move economics
 # (bench_e16_kselect): the band ladder pays broadcasts only on refills and
 # compactions, so a broadcast-count drift is a maintenance-policy change.
@@ -65,8 +62,8 @@ import sys
 # (bench_e13_hotpath's generator table): a faster generator must draw and
 # produce exactly the same values.
 EXACT_COLUMNS = {"messages", "serial messages", "shared probe msgs", "identical",
-                 "expirations", "opt phases", "allocs/step", "repairs", "rebuilds",
-                 "broadcasts", "checksum"}
+                 "expirations", "opt phases", "allocs/step", "broadcasts",
+                 "checksum"}
 # Columns that are wall-clock measurements or derived ratios: never compared
 # directly (the throughput metric below is the one gated, with tolerance).
 NOISY_COLUMNS = {"engine ms", "serial ms", "speedup", "ns/step", "query-steps/s",

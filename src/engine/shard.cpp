@@ -34,7 +34,7 @@ void EngineShard::advance(StepSnapshot& snapshot) {
     facts.window_expirations = views_[i]->expirations();
     {
       // σ(t) is a pure function of the view; the snapshot memoizes it per
-      // step per distinct (W, k, ε) instead of per query.
+      // distinct (W, k, ε) instead of per query, until the view changes.
       TOPKMON_PHASE_SCOPE(profiler_, telemetry::Phase::kSigma);
       facts.sigma = snapshot.sigma(windows_[i], sim.config().k, sim.config().epsilon);
     }

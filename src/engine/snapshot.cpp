@@ -33,10 +33,9 @@ void StepSnapshot::begin_step(TimeStep t, const ValueVector& values) {
   for (auto& v : views_) {
     WindowedValueModel* wm = v->fleet->window();
     v->values = wm ? &wm->push(t, values) : &values;
-    // Incremental splicing replaces the former per-step assign + full sort;
-    // quiescent steps cost one diff pass per distinct window.
-    v->order->update(*v->values);
-    v->sigma_cache.clear();
+    // σ is a pure function of the values: a view whose vector did not
+    // change keeps its cached σ, so a quiescent step costs one diff pass.
+    if (v->order->update(*v->values)) v->sigma_cache.clear();
   }
 }
 

@@ -5,15 +5,15 @@
 // sliding-window queries (src/model/window.hpp) the snapshot carries one
 // *view* per distinct window length W registered before the first step. A
 // view owns a FleetState: the per-node window maxima rings (maintained once
-// per step — not once per query), the incremental value order (TopKOrder —
-// the same class the standalone Simulator's σ path keeps) that replaces the
-// former per-step descending sort, and σ(t) per distinct (k, ε) — the
-// validator-side quantity every query's Simulator tracks, which standalone
-// costs an O(n log n) sort + allocations per query per step. The
+// per step — not once per query), the shadow of the view's last vector
+// (TopKOrder — the same class the standalone Simulator's σ path keeps), and
+// σ(t) per distinct (k, ε) — the validator-side quantity every query's
+// Simulator tracks, computed once per view rather than once per query. The
+// cache survives steps on which the view's vector did not change. The
 // W = kInfiniteWindow view borrows the raw snapshot untouched. All cached
 // quantities are pure functions of the snapshot (no randomness), so sharing
 // is exact and schedule-independent. Steady-state begin_step allocates
-// nothing: view buffers are preallocated and the order splices in place.
+// nothing: view buffers are preallocated and updated in place.
 #pragma once
 
 #include <cstdint>
@@ -63,8 +63,8 @@ class StepSnapshot {
   void add_window(std::size_t window, std::size_t n);
 
   /// Points the snapshot at the step's observation vector (borrowed; must
-  /// outlive the step), advances every windowed view by one step, repairs
-  /// each view's incremental order, and invalidates the σ caches. Called
+  /// outlive the step), advances every windowed view by one step, and
+  /// invalidates the σ cache of each view whose vector changed. Called
   /// serially by the engine before shards run, once per step with
   /// consecutive t starting at 0.
   void begin_step(TimeStep t, const ValueVector& values);

@@ -3,13 +3,13 @@
 // A FleetPipeline step (model/fleet_pipeline.hpp) needs, per fleet: a staging
 // buffer for the generator's raw vector, an effective-value buffer for the
 // fault injector's rewrite, per-node fault flags, and the sliding-window
-// maxima (when windowed); a σ path needs the incremental value order that
-// answers v_π(k,t) and σ(t). FleetState owns all of them as contiguous
+// maxima (when windowed); a σ path needs the shadow of the last vector that
+// answers σ(t) (TopKOrder). FleetState owns all of them as contiguous
 // buffers allocated once, so per-step work writes in place instead of
 // constructing vectors — the zero-allocation invariant of the steady-state
 // step (see util/alloc_counter.hpp) hangs off this class.
 //
-// Layout is SoA: values, flags, window rings, and sorted values are separate
+// Layout is SoA: values, flags, window rings, and the σ shadow are separate
 // flat arrays rather than per-node structs, keeping the per-step passes
 // (diff scan, window roll, violation check) on dense cache lines.
 //
@@ -75,9 +75,10 @@ class FleetState {
   WindowedValueModel* window() { return window_.get(); }
   const WindowedValueModel* window() const { return window_.get(); }
 
-  /// Incremental value order over the fleet's current monitored values —
-  /// the σ(t) path of the standalone Simulator and of each engine snapshot
-  /// view. Created on first use (one allocation, then allocation-free).
+  /// Shadow of the fleet's current monitored values — the σ(t) path of the
+  /// standalone Simulator and of each engine snapshot view. Created on first
+  /// use (one allocation, then allocation-free). order_if_ready() stays for
+  /// perfbench, which reads the order's (always zero) repair counters.
   TopKOrder& order();
   const TopKOrder* order_if_ready() const { return order_.get(); }
 

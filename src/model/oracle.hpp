@@ -70,7 +70,7 @@ class Oracle {
                                   double epsilon);
 
   /// Largest k for which sigma_scan is available (the single-pass selection
-  /// buffer is fixed-size so scan mode stays allocation-free).
+  /// buffer is fixed-size so the scan stays allocation-free).
   static constexpr std::size_t kMaxScanK = 128;
 
   /// Exact k-th largest value of the multiset (duplicates count), k ≤
@@ -83,7 +83,7 @@ class Oracle {
   /// are the exact expressions of the ε-helpers above, and neighborhood
   /// membership is order-independent, so the result is bit-identical to
   /// sigma()/sigma_sorted() — without materializing any order. This is the
-  /// churn-storm σ path: O(n) bandwidth-bound instead of a sort per step.
+  /// hot-path σ (TopKOrder): O(n) bandwidth-bound instead of a sort per step.
   static std::size_t sigma_scan(std::span<const Value> values, std::size_t k,
                                 double epsilon);
 

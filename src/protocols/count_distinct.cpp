@@ -1,7 +1,6 @@
 #include "protocols/count_distinct.hpp"
 
 #include "protocols/generic_framework.hpp"
-#include "protocols/threshold.hpp"
 #include "util/assert.hpp"
 
 namespace topkmon {

@@ -3,7 +3,8 @@
 //   * the per-step violation drain loop (server processes one live
 //     violation at a time; stale reports are ignored, as the paper allows),
 //   * EXISTENCE-based enumeration of all nodes matching a predicate
-//     (used by DENSEPROTOCOL to collect the ε-neighborhood at start-up).
+//     (used by DENSEPROTOCOL to collect the ε-neighborhood at start-up),
+//   * the deterministic every-node collect (COUNTDISTINCT's seed).
 #pragma once
 
 #include <algorithm>
@@ -79,6 +80,18 @@ std::vector<SimContext::ProbeResult> enumerate_nodes(SimContext& ctx, Pred&& pre
     for (const auto& hit : res.senders) {
       out.push_back({hit.id, hit.value});
     }
+  }
+  return out;
+}
+
+/// Deterministic O(1)-round, n-message collect: every node reports once, in
+/// id order. No RNG draw, so it suits seeding state that must not perturb
+/// the randomized primitives.
+inline std::vector<SimContext::ProbeResult> collect_all_deterministic(SimContext& ctx) {
+  std::vector<SimContext::ProbeResult> out;
+  out.reserve(ctx.n());
+  for (NodeId i = 0; i < ctx.n(); ++i) {
+    out.push_back({i, ctx.report_value(i, MessageTag::kOther)});
   }
   return out;
 }

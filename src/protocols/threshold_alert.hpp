@@ -3,9 +3,8 @@
 // the exact count of such nodes.
 //
 // This is the "are there nodes above a certain threshold" subtask the paper
-// names under Corollary 3.2, promoted from a one-shot query
-// (protocols/threshold.hpp helpers) to a continuously maintained one via the
-// `existence`/`generic_framework` seam:
+// names under Corollary 3.2 (a one-shot EXISTENCE query there), maintained
+// continuously via the `existence`/`generic_framework` seam:
 //
 //   * Filters partition the domain at T — nodes above hold (T, Δ], nodes at
 //     or below hold [0, T] — so a node crossing the bound in either

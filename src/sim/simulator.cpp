@@ -81,17 +81,20 @@ void Simulator::step_on(const ValueVector& monitored, const StepFacts& facts) {
   if (facts.sigma) {
     sigma = *facts.sigma;
   } else {
-    // Incremental order maintenance: quiescent steps cost one diff pass and
-    // two binary searches instead of an O(n log n) sort with allocations.
-    // σ(t) is a pure function of the values, so the order keeps no node
-    // identities — the same class serves every engine snapshot view.
+    // σ(t) is a pure function of the values and (k, ε) is fixed per run, so
+    // a step whose vector equals the previous one keeps the last σ: a
+    // quiescent step costs one diff pass, and a changed one one exact scan.
     TopKOrder& order = fleet_.order();
+    bool changed = false;
     {
       TOPKMON_PHASE_SCOPE(profiler_, telemetry::Phase::kOrderUpdate);
-      order.update(monitored);
+      changed = order.update(monitored);
     }
-    TOPKMON_PHASE_SCOPE(profiler_, telemetry::Phase::kSigma);
-    sigma = order.sigma(cfg_.k, cfg_.epsilon);
+    if (changed) {
+      TOPKMON_PHASE_SCOPE(profiler_, telemetry::Phase::kSigma);
+      last_sigma_ = order.sigma(cfg_.k, cfg_.epsilon);
+    }
+    sigma = last_sigma_;
   }
   max_sigma_ = std::max(max_sigma_, sigma);
   if (cfg_.record_history) {
@@ -116,8 +119,6 @@ void Simulator::attach_telemetry(telemetry::TelemetrySink* sink) {
 
   telemetry::MetricsRegistry& reg = sink->registry();
   ids_.stats = register_stats_metrics(reg);
-  ids_.order_repairs = reg.counter("order.repairs");
-  ids_.order_rebuilds = reg.counter("order.rebuilds");
   ids_.step = reg.gauge("sim.step");
   ids_.sigma = reg.gauge("sim.sigma");
   ids_.violating = reg.gauge("sim.violating");
@@ -139,10 +140,6 @@ void Simulator::publish_telemetry(std::size_t sigma) {
   telemetry::MetricsRegistry& reg = telemetry_->registry();
   const CommStats& s = ctx_.stats();
   publish_stats(reg, ids_.stats, StatsSnapshot::from(s, window_expirations_));
-  if (const TopKOrder* order = fleet_.order_if_ready()) {
-    reg.set(ids_.order_repairs, order->repairs());
-    reg.set(ids_.order_rebuilds, order->rebuilds());
-  }
   reg.set(ids_.step, static_cast<std::uint64_t>(next_t_));
   reg.set(ids_.sigma, sigma);
   reg.set(ids_.violating, ctx_.violating_count());

@@ -12,9 +12,10 @@
 // stream the online algorithm saw — required because adaptive adversaries
 // make the stream depend on the algorithm's randomness.
 //
-// Hot path: σ(t) comes from the fleet's incremental value order
-// (TopKOrder, or the driver) instead of a per-step sort, so a steady-state
-// step performs no heap allocation (see util/alloc_counter.hpp).
+// Hot path: σ(t) comes from StepFacts when the engine knows it, else from
+// the fleet's TopKOrder: one diff pass per step, and one exact scan only
+// when the vector changed — no sort, so a steady-state step performs no
+// heap allocation (see util/alloc_counter.hpp).
 // Strict-mode scratch (the filter snapshot the validator consumes) is
 // captured lazily into a reusable buffer only when validation actually runs.
 #pragma once
@@ -132,14 +133,14 @@ class Simulator {
   std::size_t max_sigma() const { return max_sigma_; }
   const SimConfig& config() const { return cfg_; }
 
-  /// The σ path's incremental order, built on the first step without a
+  /// The σ path's state (TopKOrder), built on the first step without a
   /// precomputed σ.
   const FleetState& fleet() const { return fleet_; }
 
   // ---- telemetry (src/telemetry) ------------------------------------------
 
   /// Attaches a telemetry sink: registers this simulator's metric namespace
-  /// (comm.*, faults.*, window.*, order.*, sim.*) in the sink's registry,
+  /// (comm.*, faults.*, window.*, sim.*) in the sink's registry,
   /// adds the default timeseries channels (unless the sink already has
   /// channels), arms the per-phase step profiler, and mirrors current values
   /// into the registry after every step. Setup only — must precede the first
@@ -169,6 +170,7 @@ class Simulator {
   SimContext ctx_;
   std::unique_ptr<FleetPipeline> pipeline_;  ///< step()/step_with() only
   FleetState fleet_;  ///< σ-path order (lazy)
+  std::size_t last_sigma_ = 0;  ///< σ of the order's vector (k, ε fixed)
   std::vector<ValueVector> history_;
   std::uint64_t window_expirations_ = 0;
   std::vector<Filter> strict_filters_;  ///< validator snapshot; sized on first use
@@ -181,7 +183,6 @@ class Simulator {
   /// the shared StatsSnapshot block plus the sim-specific gauges.
   struct TelemetryIds {
     StatsSnapshotIds stats;
-    telemetry::MetricId order_repairs, order_rebuilds;
     telemetry::MetricId step, sigma, violating;
     telemetry::MetricId messages_per_step;  ///< histogram
   };

@@ -3,8 +3,8 @@
 // Every quantity the repo used to scatter across ad-hoc structs — the
 // CommStats kind/tag matrix, EngineStats aggregates, fault metrics
 // (stale_reads / messages_lost / recovery_rounds), window_expirations, the
-// order-maintenance repair/rebuild counters — is registered here once under
-// a dotted name ("comm.messages", "faults.stale_reads", "order.repairs") and
+// simulator's σ gauge — is registered here once under a dotted name
+// ("comm.messages", "faults.stale_reads", "sim.sigma") and
 // becomes queryable through one surface: by id on the hot path, by name at
 // export time (telemetry/telemetry.hpp renders JSON and Prometheus text).
 //

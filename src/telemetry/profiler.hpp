@@ -2,7 +2,7 @@
 //
 // A step — FleetPipeline::step then Simulator::step_on, or
 // MonitoringEngine::step — decomposes into a fixed set of phases (generator,
-// fault injection, window merge, order maintenance, σ, protocol rounds,
+// fault injection, window merge, σ diff, σ, protocol rounds,
 // violation collection, …). Scoped RAII timers (ScopedPhase, usually via
 // TOPKMON_PHASE_SCOPE) attribute wall time to each phase: per-phase ns
 // totals, call counts, and a log2-bucket latency histogram — enough to see
@@ -40,8 +40,8 @@ enum class Phase : std::uint8_t {
   kAdvanceTime,        ///< SimContext::advance_time (install + violation sweep)
   kProtocol,           ///< protocol dispatch: start/on_step/recovery/expiry
   kViolationCollect,   ///< SimContext::collect_violations (inside kProtocol)
-  kOrderUpdate,        ///< TopKOrder::update (diff + splice / radix rebuild)
-  kSigma,              ///< σ(t) answer (binary search / partition scan / hook)
+  kOrderUpdate,        ///< TopKOrder::update (one diff pass + shadow copy)
+  kSigma,              ///< σ(t) answer (partition scan / sort / snapshot cache)
   kStrictValidate,     ///< strict-mode output + filter validation
   kSnapshotBegin,      ///< engine: StepSnapshot::begin_step (all window views)
   kShardAdvance,       ///< engine: one shard advancing its queries

@@ -1,7 +1,7 @@
 // TimeseriesRecorder — per-step samples of selected metrics over a run.
 //
 // Aggregate counters say *how much* a protocol communicated; the recorder
-// says *when*: message bursts, repair storms, scan-mode flips, and window
+// says *when*: message bursts, recovery rounds, σ swings, and window
 // expiry waves become visible as a per-step series instead of vanishing into
 // end-of-run totals.
 //

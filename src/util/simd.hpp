@@ -26,17 +26,42 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <new>
 
 #include "model/types.hpp"
 
 namespace topkmon::simd {
+
+/// Allocator for arrays the lane kernels stream over every step: 64-byte
+/// (cache-line) alignment, so no vector load straddles two lines. With the
+/// heap's 16-byte alignment a kernel's speed would depend on where the
+/// buffer happens to land.
+template <class T>
+struct CacheLineAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlign{64};
+
+  CacheLineAllocator() = default;
+  template <class U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) {}
+
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+  }
+  void deallocate(T* p, std::size_t) { ::operator delete(p, kAlign); }
+
+  template <class U>
+  bool operator==(const CacheLineAllocator<U>&) const {
+    return true;
+  }
+};
 
 /// The lane implementation serving this process: "avx2", "neon" or
 /// "scalar". Decided once (CPUID on x86-64); "scalar" always under
 /// TOPKMON_SIMD=OFF.
 const char* active_isa();
 
-/// Number of values in a vs b that differ (the order-maintenance diff pass).
+/// Number of values in a vs b that differ (TopKOrder's per-step diff pass).
 std::size_t count_diff(const Value* a, const Value* b, std::size_t n);
 
 /// Writes the indices i with a[i] != b[i] into `out` (caller guarantees room

@@ -3,8 +3,8 @@
 // mid-run regime cliffs.
 #include <gtest/gtest.h>
 
+#include "protocols/generic_framework.hpp"
 #include "protocols/registry.hpp"
-#include "protocols/threshold.hpp"
 #include "sim/simulator.hpp"
 #include "streams/trace_file.hpp"
 
@@ -95,34 +95,6 @@ INSTANTIATE_TEST_SUITE_P(All, AllProtocolsEdge,
                          ::testing::Values("exact_topk", "topk_protocol", "combined",
                                            "half_error", "naive_central",
                                            "naive_change"));
-
-TEST(Threshold, QueriesMatchOracle) {
-  SimContext ctx(SimParams{6, 2, 0.1}, 99);
-  ctx.advance_time({10, 50, 90, 30, 70, 20});
-  EXPECT_TRUE(any_above(ctx, 80.0));
-  EXPECT_FALSE(any_above(ctx, 90.0));
-  EXPECT_TRUE(any_below(ctx, 15.0));
-  EXPECT_FALSE(any_below(ctx, 10.0));
-}
-
-TEST(Threshold, CollectAtLeastFindsExactSet) {
-  SimContext ctx(SimParams{6, 2, 0.1}, 101);
-  ctx.advance_time({10, 50, 90, 30, 70, 20});
-  auto hits = collect_at_least(ctx, 50.0);
-  std::vector<NodeId> ids;
-  for (const auto& h : hits) ids.push_back(h.id);
-  std::sort(ids.begin(), ids.end());
-  EXPECT_EQ(ids, (std::vector<NodeId>{1, 2, 4}));
-}
-
-TEST(Threshold, AllQuietReflectsFilters) {
-  SimContext ctx(SimParams{3, 1, 0.1}, 103);
-  ctx.advance_time({10, 20, 30});
-  ctx.broadcast_filters([](const Node&) { return Filter::all(); });
-  EXPECT_TRUE(all_quiet(ctx));
-  ctx.broadcast_filters([](const Node&) { return Filter{0.0, 15.0}; });
-  EXPECT_FALSE(all_quiet(ctx));
-}
 
 TEST(Threshold, DeterministicCollectCostsExactlyN) {
   SimContext ctx(SimParams{5, 1, 0.1}, 105);

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "model/oracle.hpp"
+#include "model/window.hpp"
 #include "protocols/registry.hpp"
+#include "repeating_schedule.hpp"
 #include "streams/registry.hpp"
+#include "streams/trace_file.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace topkmon {
@@ -284,6 +287,55 @@ TEST(Engine, TotalsMatchKindsTagsAndRegistryWithSharedProbes) {
   EXPECT_EQ(reg.value(ids.recovery_rounds), totals.recovery_rounds);
   EXPECT_EQ(reg.value(ids.window_expirations), totals.window_expirations);
   EXPECT_EQ(reg.value(reg.find("engine.total_messages")), totals.messages);
+}
+
+TEST(Engine, SharedSigmaMatchesOracleOnRepeatedAndChangedSteps) {
+  // The snapshot keeps each view's σ cache across steps whose vector did not
+  // change. The schedule makes σ(t) grow, so a stale cache shows as a
+  // max_sigma below the oracle's running max.
+  // Several (k, ε) per window, on both sides of Oracle::kMaxScanK, each
+  // asked by two queries so the cache also serves hits within a step.
+  constexpr std::size_t n = 200;
+  const std::vector<ValueVector> rows = repeating_schedule(n, 5);
+
+  EngineConfig ecfg;
+  ecfg.threads = 2;
+  ecfg.seed = 7;
+  MonitoringEngine engine(ecfg, std::make_unique<TraceFileStream>(rows));
+  struct Probe {
+    QueryHandle h;
+    std::size_t k, window;
+    double eps;
+    std::size_t max_sigma = 0;
+  };
+  std::vector<Probe> probes;
+  const std::size_t windows[] = {kInfiniteWindow, 3};
+  for (const std::size_t window : windows) {
+    for (const std::size_t k : {std::size_t{1}, std::size_t{8}, Oracle::kMaxScanK + 1,
+                                std::size_t{150}}) {
+      for (const double eps : {0.01, 0.05}) {
+        for (int copy = 0; copy < 2; ++copy) {
+          QuerySpec q;
+          q.protocol = "naive_central";
+          q.k = k;
+          q.epsilon = eps;
+          q.window = window;
+          probes.push_back({engine.add_query(q), k, window, eps});
+        }
+      }
+    }
+  }
+  WindowedValueModel model(n, windows[1]);
+  for (TimeStep t = 0; t < static_cast<TimeStep>(rows.size()); ++t) {
+    engine.step();
+    const ValueVector& windowed = model.push(t, rows[t]);
+    for (Probe& p : probes) {
+      const ValueVector& monitored = p.window == kInfiniteWindow ? rows[t] : windowed;
+      p.max_sigma = std::max(p.max_sigma, Oracle::sigma(monitored, p.k, p.eps));
+      ASSERT_EQ(engine.query_sim(p.h).max_sigma(), p.max_sigma)
+          << "W=" << p.window << " k=" << p.k << " eps=" << p.eps << " t=" << t;
+    }
+  }
 }
 
 TEST(Engine, LabelsDefaultToSpecDescription) {

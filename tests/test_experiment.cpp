@@ -72,10 +72,10 @@ TEST(Runner, SweepPreservesOrderAndDeterminism) {
   }
 }
 
-TEST(Runner, EngineGroupedSweepMatchesPerCellResults) {
-  // Rows sharing one stream config (a protocol comparison at fixed k/ε, the
-  // grid an engine could multiplex) run as independent per-cell trials;
-  // their results must stay bit-identical to serial run_experiment.
+TEST(Runner, SweepMatchesRunExperimentPerCell) {
+  // Rows sharing one stream config (a protocol comparison at fixed k/ε) run
+  // as independent per-cell trials; their results must stay bit-identical
+  // to serial run_experiment.
   std::vector<SweepRow> rows;
   for (const std::string protocol :
        {"combined", "topk_protocol", "half_error", "naive_central"}) {
@@ -83,16 +83,16 @@ TEST(Runner, EngineGroupedSweepMatchesPerCellResults) {
     cfg.protocol = protocol;
     rows.push_back({protocol, cfg});
   }
-  const auto grouped = run_sweep(rows, 2);
-  ASSERT_EQ(grouped.size(), rows.size());
+  const auto swept = run_sweep(rows, 2);
+  ASSERT_EQ(swept.size(), rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto serial = run_experiment(rows[i].cfg);
-    EXPECT_EQ(grouped[i].messages.samples(), serial.messages.samples()) << i;
-    EXPECT_EQ(grouped[i].opt_phases.samples(), serial.opt_phases.samples()) << i;
-    EXPECT_EQ(grouped[i].ratio.samples(), serial.ratio.samples()) << i;
-    EXPECT_EQ(grouped[i].max_sigma.samples(), serial.max_sigma.samples()) << i;
-    EXPECT_EQ(grouped[i].max_rounds.samples(), serial.max_rounds.samples()) << i;
-    EXPECT_EQ(grouped[i].last_run.messages, serial.last_run.messages) << i;
+    EXPECT_EQ(swept[i].messages.samples(), serial.messages.samples()) << i;
+    EXPECT_EQ(swept[i].opt_phases.samples(), serial.opt_phases.samples()) << i;
+    EXPECT_EQ(swept[i].ratio.samples(), serial.ratio.samples()) << i;
+    EXPECT_EQ(swept[i].max_sigma.samples(), serial.max_sigma.samples()) << i;
+    EXPECT_EQ(swept[i].max_rounds.samples(), serial.max_rounds.samples()) << i;
+    EXPECT_EQ(swept[i].last_run.messages, serial.last_run.messages) << i;
   }
 }
 

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "faults/registry.hpp"
+#include "model/oracle.hpp"
 #include "protocols/registry.hpp"
+#include "repeating_schedule.hpp"
 #include "streams/registry.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace topkmon {
 namespace {
@@ -89,6 +92,40 @@ TEST(RunResult, TagsSumToTotal) {
   EXPECT_EQ(tag_sum, r.messages);
 }
 
+TEST(Simulator, SigmaGaugeMatchesOracleOnRepeatedAndChangedSteps) {
+  // σ(t) is recomputed only when the monitored vector changed; every step's
+  // gauge must still equal the oracle on that step's vector, for k on both
+  // sides of Oracle::kMaxScanK and with a window that turns repeated raw
+  // vectors into changing monitored ones.
+  constexpr std::size_t n = 200;
+  const std::vector<ValueVector> rows = repeating_schedule(n, 5);
+  for (const std::size_t window : {kInfiniteWindow, std::size_t{3}}) {
+    for (const std::size_t k : {std::size_t{1}, std::size_t{8}, Oracle::kMaxScanK + 1,
+                                std::size_t{150}}) {
+      for (const double eps : {0.0, 0.01, 0.05}) {
+        SimConfig cfg;
+        cfg.k = k;
+        cfg.epsilon = eps;
+        cfg.seed = 3;
+        cfg.window = window;
+        Simulator sim(cfg, n, make_protocol("naive_central"));
+        telemetry::TelemetrySink sink;
+        sim.attach_telemetry(&sink);
+        const telemetry::MetricId sigma = sink.registry().find("sim.sigma");
+        std::unique_ptr<WindowedValueModel> model;
+        if (window != kInfiniteWindow) {
+          model = std::make_unique<WindowedValueModel>(n, window);
+        }
+        for (TimeStep t = 0; t < static_cast<TimeStep>(rows.size()); ++t) {
+          sim.step_with(rows[t]);
+          const ValueVector& monitored = model ? model->push(t, rows[t]) : rows[t];
+          ASSERT_EQ(sink.registry().value(sigma), Oracle::sigma(monitored, k, eps))
+              << "W=" << window << " k=" << k << " eps=" << eps << " t=" << t;
+        }
+      }
+    }
+  }
+}
 
 // Pins the exact cost of membership recovery under churn: every recovery
 // re-probes and re-enumerates the fleet through EXISTENCE, so a change in

@@ -259,7 +259,7 @@ TEST(WindowEngine, WindowedQueryMatchesStandaloneSimulator) {
   }
 }
 
-TEST(WindowEngine, SweepRunnerGroupsMixedWindowCellsBitIdentically) {
+TEST(WindowEngine, SweepMatchesRunExperimentOnMixedWindowCells) {
   // Cells differing only in (protocol, W) each report from run_sweep
   // exactly what their standalone run_experiment (one Simulator per trial,
   // windowed history + plain OPT) reports — including the windowed
