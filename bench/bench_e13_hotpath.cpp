@@ -1,9 +1,8 @@
 // E13 — batched hot path: steps/s and allocations/step over the workload
 // grid n × {instantaneous, W=256} × {fault-free, churn}.
 //
-// This is the CI-gated twin of the bench_micro hot-path suite (same cells
-// via bench/hotpath_workload.hpp, emitted as a table + JSON so scripts/
-// check_bench.py can gate it against bench/bench_baseline.json):
+// The cells come from bench/hotpath_workload.hpp; the table + JSON output
+// lets scripts/check_bench.py gate it against bench/bench_baseline.json:
 //
 //   * "query-steps/s" — throughput, tolerance-gated; the n=16k quiescent
 //     row is the tentpole target (≥3× over the pre-refactor engine);

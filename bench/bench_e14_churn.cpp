@@ -5,7 +5,7 @@
 // table measures the regimes the paper actually studies — dense value churn
 // and Theorem 5.1-style oscillation — where every step pays the σ(t) diff
 // and partition scan, the violation sweep, and (on the osc cell) real
-// protocol rounds. CI-gated twin rules:
+// protocol rounds. CI gates:
 //
 //   * "query-steps/s"       — throughput, tolerance-gated; the n=16k churn
 //     row is the tentpole target (≥3× over the pre-vectorization engine);

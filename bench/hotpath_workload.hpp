@@ -1,5 +1,5 @@
-// Hot-path workload grid shared by bench_micro (google-benchmark counters)
-// and bench_e13_hotpath (the table/JSON twin gated by scripts/check_bench.py).
+// Hot-path workload grids of bench_e13_hotpath (quiescent cells) and
+// bench_e14_churn (churn cells), gated by scripts/check_bench.py.
 //
 // Cells: n ∈ {64, 1k, 16k} × {instantaneous, W = 256} × {fault-free, churn}.
 // The value stream is *quiescent*: one random vector drawn per cell, fed to
@@ -77,7 +77,7 @@ inline std::string hotpath_workload_name(const HotPathCell& cell) {
 }
 
 // ---------------------------------------------------------------------------
-// Churn-path cells (bench_e14_churn + BM_ChurnPathStep): the *non*-quiescent
+// Churn-path cells (bench_e14_churn): the *non*-quiescent
 // regimes the quiescent grid above deliberately avoids. Every cell keeps k
 // constant leaders with geometrically spaced huge values (pairwise ratio 2,
 // so the combined protocol settles into TOPK mode with a separator far above

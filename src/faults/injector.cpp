@@ -1,6 +1,7 @@
 #include "faults/injector.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -10,6 +11,7 @@ FaultInjector::FaultInjector(FleetSchedulePtr schedule)
     : schedule_(std::move(schedule)) {
   TOPKMON_ASSERT(schedule_ != nullptr);
   const std::size_t n = schedule_->n();
+  effective_.assign(n, 0);
   if (schedule_->max_delay() > 0) {
     ring_.assign(schedule_->max_delay() + 1, ValueVector(n, 0));
     for (NodeId i = 0; i < n; ++i) {
@@ -23,13 +25,6 @@ FaultInjector::FaultInjector(FleetSchedulePtr schedule)
     offline_ids_.reserve(n);
     frozen_.assign(n, 0);
   }
-}
-
-const ValueVector& FaultInjector::transform(TimeStep t, const ValueVector& truth) {
-  if (!own_fleet_) {
-    own_fleet_ = std::make_unique<FleetState>(schedule_->n());
-  }
-  return transform(t, truth, *own_fleet_);
 }
 
 void FaultInjector::advance_membership(TimeStep t) {
@@ -49,16 +44,10 @@ void FaultInjector::advance_membership(TimeStep t) {
   }
 }
 
-const ValueVector& FaultInjector::transform(TimeStep t, const ValueVector& truth,
-                                            FleetState& fleet) {
-  const std::size_t n = schedule_->n();
-  TOPKMON_ASSERT(truth.size() == n);
-  TOPKMON_ASSERT(fleet.n() == n);
+const ValueVector& FaultInjector::transform(TimeStep t, const ValueVector& truth) {
+  TOPKMON_ASSERT(truth.size() == schedule_->n());
   TOPKMON_ASSERT_MSG(t == next_t_, "injector must see consecutive steps");
   ++next_t_;
-
-  ValueVector& effective = fleet.effective();
-  const std::span<std::uint8_t> flags = fleet.fault_flags();
 
   // The ring was sized from max_delay() at construction; mutating the shared
   // schedule's delays afterwards would make the lookback read (or divide by)
@@ -75,10 +64,8 @@ const ValueVector& FaultInjector::transform(TimeStep t, const ValueVector& truth
 
   last_stale_ = 0;
   if (t == 0) {
-    std::copy(truth.begin(), truth.end(), effective.begin());
-    std::fill(flags.begin(), flags.end(), std::uint8_t{kFaultNone});
-    flags_dirty_ = false;
-    return effective;
+    std::copy(truth.begin(), truth.end(), effective_.begin());
+    return effective_;
   }
   if (!offline_.empty()) {
     advance_membership(t);
@@ -88,18 +75,13 @@ const ValueVector& FaultInjector::transform(TimeStep t, const ValueVector& truth
   // stream truth → effective in one pass, then fix up the (few) degraded
   // nodes in place.
   for (std::size_t j = 0; j < offline_ids_.size(); ++j) {
-    frozen_[j] = effective[offline_ids_[j]];
+    frozen_[j] = effective_[offline_ids_[j]];
   }
-  std::copy(truth.begin(), truth.end(), effective.begin());
-  if (flags_dirty_) {
-    std::fill(flags.begin(), flags.end(), std::uint8_t{kFaultNone});
-    flags_dirty_ = false;
-  }
+  std::copy(truth.begin(), truth.end(), effective_.begin());
   for (std::size_t j = 0; j < offline_ids_.size(); ++j) {
     const NodeId i = offline_ids_[j];
     // Offline: observation frozen at the previous effective value.
-    effective[i] = frozen_[j];
-    flags[i] = kFaultOffline | kFaultStale;
+    effective_[i] = frozen_[j];
     ++last_stale_;
   }
   for (const NodeId i : stragglers_) {
@@ -107,13 +89,29 @@ const ValueVector& FaultInjector::transform(TimeStep t, const ValueVector& truth
     // The ring covers steps (t − max_delay) .. t; clamp to step 0 early on.
     const std::size_t d = schedule_->delay(i);
     const std::size_t back = std::min<std::size_t>(d, static_cast<std::size_t>(t));
-    effective[i] = ring_[(static_cast<std::size_t>(t) - back) % ring_.size()][i];
-    flags[i] = kFaultStale;
+    effective_[i] = ring_[(static_cast<std::size_t>(t) - back) % ring_.size()][i];
     ++last_stale_;
   }
-  flags_dirty_ = last_stale_ > 0;
   total_stale_ += last_stale_;
-  return effective;
+  return effective_;
+}
+
+std::uint64_t FaultInjector::stale_reads(std::size_t lo, std::size_t hi) const {
+  TOPKMON_ASSERT(lo <= hi && hi <= schedule_->n());
+  // At t = 0 (and before the first step) nothing is stale; from t = 1 on the
+  // stale nodes are exactly the offline ones plus the online stragglers.
+  if (last_stale_ == 0) return 0;
+  const auto in_range = [lo, hi](const std::vector<NodeId>& ids) {
+    return std::make_pair(std::lower_bound(ids.begin(), ids.end(), lo),
+                          std::lower_bound(ids.begin(), ids.end(), hi));
+  };
+  const auto [off_begin, off_end] = in_range(offline_ids_);
+  std::uint64_t stale = static_cast<std::uint64_t>(off_end - off_begin);
+  const auto [str_begin, str_end] = in_range(stragglers_);
+  for (auto it = str_begin; it != str_end; ++it) {
+    stale += offline_.empty() || offline_[*it] == 0;
+  }
+  return stale;
 }
 
 }  // namespace topkmon

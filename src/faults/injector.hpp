@@ -16,18 +16,18 @@
 // holds with respect to what the nodes really observed. Each observation
 // served from the past (offline freeze or positive delay at t ≥ 1) counts as
 // one *stale read* — the fault-awareness metric surfaced through
-// CommStats/RunResult/EngineStats — and sets the node's FaultFlag bits in
-// the target FleetState's contiguous flag buffer.
+// CommStats/RunResult/EngineStats. Which nodes were stale is read off the
+// sorted offline and straggler lists (stale_reads(lo, hi)), not stored.
 //
 // Hot-path storage: the ring is a fixed array of max_delay+1 preallocated
 // vectors written in place (slot = t mod (max_delay+1)), the effective
-// vector lives in the caller's FleetState, and schedules without stragglers
-// skip retention entirely. The per-step apply is batched: membership is
-// tracked incrementally (the schedule's event list is consumed once, in
-// step order, instead of a per-node binary search every step), the healthy
-// bulk of the fleet is one contiguous copy of truth → effective, and only
-// the currently-degraded nodes — offline freezes and straggler ring reads —
-// are fixed up individually. A transform() in steady state allocates
+// vector is the injector's own, sized once at construction, and schedules
+// without stragglers skip retention entirely. The per-step apply is batched:
+// membership is tracked incrementally (the schedule's event list is consumed
+// once, in step order, instead of a per-node binary search every step), the
+// healthy bulk of the fleet is one contiguous copy of truth → effective, and
+// only the currently-degraded nodes — offline freezes and straggler ring
+// reads — are fixed up individually. A transform() in steady state allocates
 // nothing, and a fault-free step is exactly one memcpy.
 //
 // The injector is deterministic and RNG-free: with an all-zero schedule,
@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "faults/schedule.hpp"
-#include "model/fleet_state.hpp"
 #include "model/types.hpp"
 
 namespace topkmon {
@@ -48,18 +47,16 @@ class FaultInjector {
   explicit FaultInjector(FleetSchedulePtr schedule);
 
   /// Rewrites the step-t true vector into the effective vector, written in
-  /// place into `fleet.effective()` (the returned reference); per-node
-  /// FaultFlag bits land in `fleet.fault_flags()`. Must be called once per
-  /// step with consecutive t starting at 0, always with the same fleet.
-  const ValueVector& transform(TimeStep t, const ValueVector& truth,
-                               FleetState& fleet);
-
-  /// Convenience for tests and tools without an external FleetState:
-  /// transforms into an internally owned fleet (created on first use).
+  /// place into the injector's own buffer (the returned reference, valid
+  /// until the next call). Must be called once per step with consecutive t
+  /// starting at 0.
   const ValueVector& transform(TimeStep t, const ValueVector& truth);
 
   /// Stale reads produced by the most recent transform() call.
   std::uint64_t last_stale() const { return last_stale_; }
+
+  /// The same count restricted to nodes in [lo, hi).
+  std::uint64_t stale_reads(std::size_t lo, std::size_t hi) const;
 
   /// Stale reads across all steps so far.
   std::uint64_t total_stale() const { return total_stale_; }
@@ -72,6 +69,7 @@ class FaultInjector {
   void advance_membership(TimeStep t);
 
   FleetSchedulePtr schedule_;
+  ValueVector effective_;          ///< transform()'s output, n values
   std::vector<ValueVector> ring_;  ///< max_delay+1 preallocated slots (empty
                                    ///< when the schedule has no stragglers)
   std::vector<NodeId> stragglers_;       ///< nodes with delay > 0, ascending
@@ -79,8 +77,6 @@ class FaultInjector {
   std::vector<NodeId> offline_ids_;      ///< currently-offline nodes, ascending
   ValueVector frozen_;                   ///< offline values saved across the bulk copy
   std::size_t event_cursor_ = 0;         ///< next unapplied schedule event
-  bool flags_dirty_ = false;  ///< a past step wrote nonzero FaultFlags
-  std::unique_ptr<FleetState> own_fleet_;  ///< 2-arg transform() target only
   TimeStep next_t_ = 0;
   std::uint64_t last_stale_ = 0;
   std::uint64_t total_stale_ = 0;

@@ -8,7 +8,9 @@
 // stream 0x5EED of the run seed, so drivers seeded alike replay one stream)
 // unless the caller supplies it; the optional FaultInjector rewrites it into
 // the effective vector the fleet holds; the optional window model takes
-// per-node window maxima. Stages run under the caller's profiler phases
+// per-node window maxima. Each stage owns its buffer: the pipeline the
+// generator's staging vector, the injector its effective vector, the window
+// model its rings. Stages run under the caller's profiler phases
 // (kGenerator, kFaultInject, kWindowMerge); an absent stage costs and
 // allocates nothing, and a steady-state step is allocation-free.
 #pragma once
@@ -18,7 +20,6 @@
 
 #include "faults/injector.hpp"
 #include "faults/schedule.hpp"
-#include "model/fleet_state.hpp"
 #include "model/window.hpp"
 #include "sim/stream.hpp"
 #include "telemetry/profiler.hpp"
@@ -36,7 +37,7 @@ class FleetPipeline {
   FleetPipeline(std::unique_ptr<StreamGenerator> gen, std::uint64_t seed,
                 FleetSchedulePtr faults, std::size_t window);
 
-  std::size_t n() const { return fleet_.n(); }
+  std::size_t n() const { return n_; }
 
   /// Generates step t (init at t = 0, `view` feeds adaptive generators
   /// later) and returns the monitored vector. Consecutive t from 0.
@@ -57,21 +58,25 @@ class FleetPipeline {
   /// Observations served stale in the last step: whole fleet, node range
   /// [lo, hi), and all steps so far.
   std::uint64_t stale_reads() const { return injector_ ? injector_->last_stale() : 0; }
-  std::uint64_t stale_reads(std::size_t lo, std::size_t hi) const;
+  std::uint64_t stale_reads(std::size_t lo, std::size_t hi) const {
+    return injector_ ? injector_->stale_reads(lo, hi) : 0;
+  }
   std::uint64_t total_stale_reads() const {
     return injector_ ? injector_->total_stale() : 0;
   }
 
   /// Nodes whose window maximum expired in the last step (0 unwindowed).
   std::uint64_t window_expirations() const {
-    return fleet_.window() ? fleet_.window()->last_expirations() : 0;
+    return window_ ? window_->last_expirations() : 0;
   }
 
  private:
+  std::size_t n_;
   std::unique_ptr<StreamGenerator> gen_;  ///< null = caller supplies truth
   Rng gen_rng_;
+  ValueVector staging_;  ///< the generator's true vector (empty without one)
   std::unique_ptr<FaultInjector> injector_;  ///< null = reliable fleet
-  FleetState fleet_;  ///< staging, effective, fault flags, window rings
+  std::unique_ptr<WindowedValueModel> window_;  ///< null = unwindowed
   const ValueVector* effective_ = nullptr;
   const ValueVector* monitored_ = nullptr;
 };

@@ -13,7 +13,7 @@ FleetState::FleetState(std::size_t n, std::size_t window) : n_(n) {
 
 TopKOrder& FleetState::order() {
   if (!order_) {
-    order_ = std::make_unique<TopKOrder>(n());
+    order_ = std::make_unique<TopKOrder>(n_);
   }
   return *order_;
 }

@@ -18,7 +18,7 @@ struct NodeHost::State {
   std::uint32_t hi = 0;
 
   FleetPipeline pipeline;  ///< at step expected_t; once reported, at the next
-  std::vector<Filter> filters;  ///< shard entries only
+  std::vector<Filter> filters;  ///< shard entries only, by node − lo
   OutputSet empty_output;  ///< the AdversaryView target (non-adaptive kinds)
   TimeStep expected_t = 0;
   bool reported = false;  ///< ShardValues(expected_t) sent, FilterUpdate due
@@ -31,7 +31,7 @@ struct NodeHost::State {
         pipeline(make_stream(cfg.spec.stream), cfg.spec.seed,
                  make_fleet_schedule(cfg.spec.faults, cfg.spec.stream.n),
                  cfg.spec.window),
-        filters(cfg.spec.stream.n) {}
+        filters(cfg.shard_hi - cfg.shard_lo) {}
 
   /// Runs the full-fleet pipeline for step t — the same RNG stream as the
   /// standalone Simulator. The AdversaryView is empty: adaptive kinds are
@@ -122,7 +122,7 @@ bool NodeHost::handle_step_begin(TimeStep t) {
   msg.values.assign(eff.begin() + s.lo, eff.begin() + s.hi);
   msg.stale = s.pipeline.stale_reads(s.lo, s.hi);
   for (std::uint32_t i = s.lo; i < s.hi; ++i) {
-    msg.violations += s.filters[i].check(monitored[i]) != Violation::kNone;
+    msg.violations += s.filters[i - s.lo].check(monitored[i]) != Violation::kNone;
   }
   if (!link_->send(encode(msg))) {
     fail("coordinator unreachable (shard values)");
@@ -148,15 +148,15 @@ bool NodeHost::handle_filter_update(const FilterUpdateMsg& m) {
       fail("filter for node " + std::to_string(e.node) + " outside shard");
       return false;
     }
-    s.filters[e.node] = Filter{e.lo, e.hi};
+    s.filters[e.node - s.lo] = Filter{e.lo, e.hi};
   }
   // Quiescence: after the step's control phase every shard node's monitored
   // value must sit inside its filter (the protocols' per-step contract).
   StepAckMsg ack;
   ack.t = m.t;
-  for (std::uint32_t i = s.lo; i < s.hi; ++i) {
+  for (std::size_t j = 0; j < s.filters.size(); ++j) {
     ack.quiescence_errors +=
-        s.filters[i].check(s.reported_monitored[i - s.lo]) != Violation::kNone;
+        s.filters[j].check(s.reported_monitored[j]) != Violation::kNone;
   }
   quiescence_errors_ += ack.quiescence_errors;
   s.reported = false;

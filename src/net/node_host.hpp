@@ -6,9 +6,9 @@
 // coordinator:
 //
 //   1. StepBegin{t}  — its pipeline already holds step t: it reports the
-//      shard's effective values plus node-side observations (stale-read
-//      count = kFaultStale flags in the shard; violations of the filters
-//      installed at t - 1) in one ShardValues frame;
+//      shard's effective values plus node-side observations (the shard's
+//      stale-read count; violations of the filters installed at t - 1) in
+//      one ShardValues frame;
 //   2. generate ahead — it keeps a copy of the shard's monitored values of
 //      step t and runs the deterministic full-fleet FleetPipeline
 //      (generator, fault injector, window) for step t + 1, if the run has

@@ -4,8 +4,10 @@
 // The batched hot path (FleetPipeline::step, Simulator::step_on,
 // StepSnapshot::begin_step, EngineShard::advance) is engineered so a
 // steady-state step performs ZERO heap allocations: every buffer is
-// preallocated in FleetState / TopKOrder / WindowedValueModel (or sized once
-// on first use, like the strict validator's filter snapshot) and reused.
+// preallocated by the stage that writes it (the pipeline's staging vector,
+// the FaultInjector's effective vector and lookback ring, the
+// WindowedValueModel's rings, TopKOrder's shadow) or sized once on first
+// use, like the strict validator's filter snapshot, and reused.
 // This header gives tests and benches the instrument to *prove* that instead
 // of assuming it.
 //

@@ -24,16 +24,6 @@ std::size_t count_diff(const Value* a, const Value* b, std::size_t n) {
   return count;
 }
 
-std::size_t collect_diff(const Value* a, const Value* b, std::size_t n,
-                         std::uint32_t* out) {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    out[count] = static_cast<std::uint32_t>(i);
-    count += a[i] != b[i];
-  }
-  return count;
-}
-
 std::size_t collect_nonzero(const std::uint8_t* mask, std::size_t n,
                             std::uint32_t* out) {
   std::size_t count = 0;
@@ -135,28 +125,6 @@ TOPKMON_AVX2 std::size_t count_diff(const Value* a, const Value* b, std::size_t 
     count += static_cast<std::size_t>(__builtin_popcount(~eq & 0xF));
   }
   return count + scalar::count_diff(a + i, b + i, n - i);
-}
-
-TOPKMON_AVX2 std::size_t collect_diff(const Value* a, const Value* b, std::size_t n,
-                                      std::uint32_t* out) {
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const int eq = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(va, vb)));
-    int dirty = ~eq & 0xF;
-    while (dirty != 0) {
-      const int lane = __builtin_ctz(static_cast<unsigned>(dirty));
-      out[count++] = static_cast<std::uint32_t>(i + static_cast<std::size_t>(lane));
-      dirty &= dirty - 1;
-    }
-  }
-  for (; i < n; ++i) {
-    out[count] = static_cast<std::uint32_t>(i);
-    count += a[i] != b[i];
-  }
-  return count;
 }
 
 TOPKMON_AVX2 std::size_t collect_nonzero(const std::uint8_t* mask, std::size_t n,
@@ -378,7 +346,6 @@ namespace {
 struct Impl {
   const char* name;
   std::size_t (*count_diff)(const Value*, const Value*, std::size_t);
-  std::size_t (*collect_diff)(const Value*, const Value*, std::size_t, std::uint32_t*);
   std::size_t (*collect_nonzero)(const std::uint8_t*, std::size_t, std::uint32_t*);
   std::size_t (*violation_mask)(const Value*, const double*, const double*,
                                 std::size_t, std::uint8_t*);
@@ -392,7 +359,7 @@ struct Impl {
 };
 
 constexpr Impl kScalarImpl = {
-    "scalar",          scalar::count_diff, scalar::collect_diff, scalar::collect_nonzero,
+    "scalar",          scalar::count_diff, scalar::collect_nonzero,
     scalar::violation_mask, scalar::max_merge,  scalar::max_value,
     scalar::min_value, scalar::count_lt,   scalar::count_eq_u32,
     scalar::count_f64_ge, scalar::count_scaled_gt,
@@ -402,7 +369,7 @@ const Impl& select_impl() {
 #if defined(TOPKMON_SIMD_X86)
   if (__builtin_cpu_supports("avx2")) {
     static constexpr Impl kAvx2 = {
-        "avx2",          avx2::count_diff, avx2::collect_diff, avx2::collect_nonzero,
+        "avx2",          avx2::count_diff, avx2::collect_nonzero,
         avx2::violation_mask, avx2::max_merge,  avx2::max_value,
         avx2::min_value, avx2::count_lt,   avx2::count_eq_u32,
         avx2::count_f64_ge, avx2::count_scaled_gt,
@@ -412,7 +379,7 @@ const Impl& select_impl() {
   return kScalarImpl;  // x86-64 without AVX2
 #elif defined(TOPKMON_SIMD_NEON)
   static constexpr Impl kNeon = {
-      "neon",            neon::count_diff, scalar::collect_diff, scalar::collect_nonzero,
+      "neon",            neon::count_diff, scalar::collect_nonzero,
       neon::violation_mask,   neon::max_merge,  scalar::max_value,
       scalar::min_value, scalar::count_lt, scalar::count_eq_u32,
       scalar::count_f64_ge, scalar::count_scaled_gt,
@@ -434,11 +401,6 @@ const char* active_isa() { return impl().name; }
 
 std::size_t count_diff(const Value* a, const Value* b, std::size_t n) {
   return impl().count_diff(a, b, n);
-}
-
-std::size_t collect_diff(const Value* a, const Value* b, std::size_t n,
-                         std::uint32_t* out) {
-  return impl().collect_diff(a, b, n, out);
 }
 
 std::size_t collect_nonzero(const std::uint8_t* mask, std::size_t n,

@@ -2,10 +2,10 @@
 //
 // The batched hot path's non-quiescent cost is a handful of dense passes
 // over the fleet's SoA arrays: diffing the new observation vector against a
-// shadow copy, extracting the dirty indices, checking every value against
-// its filter bounds, merging window rings, and min/max/range scans. Each is
-// trivially data-parallel; this header exposes them as flat-array primitives
-// so the model/sim/faults layers never touch an intrinsic.
+// shadow copy, checking every value against its filter bounds, merging
+// window rings, and min/max/range scans. Each is trivially data-parallel;
+// this header exposes them as flat-array primitives so the model/sim/faults
+// layers never touch an intrinsic.
 //
 // Dispatch has two stages:
 //   * compile time — AVX2 bodies are built on x86-64 (they carry
@@ -63,12 +63,6 @@ const char* active_isa();
 
 /// Number of values in a vs b that differ (TopKOrder's per-step diff pass).
 std::size_t count_diff(const Value* a, const Value* b, std::size_t n);
-
-/// Writes the indices i with a[i] != b[i] into `out` (caller guarantees room
-/// for n entries) and returns how many were written, in ascending order —
-/// branchless compare + movemask extraction of the dirty set.
-std::size_t collect_diff(const Value* a, const Value* b, std::size_t n,
-                         std::uint32_t* out);
 
 /// Writes the indices i with mask[i] != 0 into `out` (caller guarantees
 /// room for n entries) and returns how many were written, ascending — the

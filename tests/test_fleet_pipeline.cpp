@@ -1,7 +1,8 @@
 // FleetPipeline tests (src/model/fleet_pipeline.hpp): the node-side
 // pipeline (generator → fault injector → window) every driver shares.
 //   * stale reads counted over host ranges (net::shard_lo partitions) sum to
-//     the whole-fleet count at every step, for 1, 2 and 3 hosts;
+//     the whole-fleet count at every step, for 1, 2 and 3 hosts, and every
+//     single-node range matches the schedule;
 //   * a standalone pipeline reproduces, step by step, the monitored vectors
 //     a standalone Simulator on the same seed records in its history;
 //   * a Simulator driven only through step_on() with a precomputed σ builds
@@ -50,7 +51,8 @@ FleetPipeline make_pipeline() {
 }
 
 TEST(FleetPipeline, HostRangeStaleReadsSumToFleetCount) {
-  FleetPipeline pipeline = make_pipeline();
+  const FleetSchedulePtr sched = churn_and_stragglers();
+  FleetPipeline pipeline(make_stream(walk_spec()), kSeed, sched, kW);
   const OutputSet none;
   const AdversaryView view{{}, &none, 4, 0.1};
   std::uint64_t total = 0;
@@ -64,6 +66,13 @@ TEST(FleetPipeline, HostRangeStaleReadsSumToFleetCount) {
                                     net::shard_lo(kN, hosts, h + 1));
       }
       ASSERT_EQ(sum, whole) << "t=" << t << " hosts=" << hosts;
+    }
+    // Single-node ranges against the schedule: a node is stale iff t ≥ 1
+    // and it is offline or delayed.
+    for (NodeId i = 0; i < kN; ++i) {
+      const bool stale = t >= 1 && (!sched->online(i, t) || sched->delay(i) > 0);
+      ASSERT_EQ(pipeline.stale_reads(i, i + 1), stale ? 1u : 0u)
+          << "t=" << t << " node=" << i;
     }
     total += whole;
   }

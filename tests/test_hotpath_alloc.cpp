@@ -1,8 +1,9 @@
 // Zero-allocation invariant of the batched hot path (regression tests).
 //
 // A steady-state step — quiescent protocol, warmed-up buffers — must not
-// touch the heap: FleetState, TopKOrder, the window rings, the injector
-// ring and the strict-mode filter snapshot are all reused across steps.
+// touch the heap: the pipeline's staging vector, the injector's effective
+// vector and ring, the window rings, TopKOrder and the strict-mode filter
+// snapshot are all reused across steps.
 // These tests *measure* that with the counting allocator hook
 // (util/alloc_counter.hpp) instead of trusting it; they skip when the hook
 // is compiled out (sanitizer builds, which install their own allocator).
@@ -15,7 +16,6 @@
 
 #include "engine/engine.hpp"
 #include "faults/schedule.hpp"
-#include "model/fleet_state.hpp"
 #include "protocols/registry.hpp"
 #include "sim/context.hpp"
 #include "sim/simulator.hpp"

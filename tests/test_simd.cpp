@@ -36,7 +36,7 @@ TEST(Simd, ActiveIsaIsReported) {
       << isa;
 }
 
-TEST(Simd, CountAndCollectDiffMatchScalar) {
+TEST(Simd, CountDiffMatchesScalar) {
   Rng rng(1);
   for (const std::size_t n : kSizes) {
     for (int rep = 0; rep < 20; ++rep) {
@@ -45,17 +45,11 @@ TEST(Simd, CountAndCollectDiffMatchScalar) {
       for (auto& x : b) {
         if (rng.below(3) == 0) x = rng.below(8);
       }
-      std::vector<std::uint32_t> expected;
+      std::size_t expected = 0;
       for (std::size_t i = 0; i < n; ++i) {
-        if (a[i] != b[i]) expected.push_back(static_cast<std::uint32_t>(i));
+        expected += a[i] != b[i];
       }
-      EXPECT_EQ(simd::count_diff(a.data(), b.data(), n), expected.size());
-      std::vector<std::uint32_t> out(n + 1, 0xDEAD);
-      const std::size_t got = simd::collect_diff(a.data(), b.data(), n, out.data());
-      ASSERT_EQ(got, expected.size());
-      for (std::size_t j = 0; j < got; ++j) {
-        EXPECT_EQ(out[j], expected[j]) << "dirty index " << j;
-      }
+      EXPECT_EQ(simd::count_diff(a.data(), b.data(), n), expected) << "n=" << n;
     }
   }
 }

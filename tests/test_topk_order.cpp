@@ -10,7 +10,6 @@
 
 #include "faults/injector.hpp"
 #include "faults/schedule.hpp"
-#include "model/fleet_state.hpp"
 #include "model/oracle.hpp"
 #include "model/topk_order.hpp"
 #include "model/window.hpp"
@@ -182,26 +181,22 @@ TEST(TopKOrder, TracksMembershipChangeFreezesAndRejoins) {
   sched->add_event(15, 4);  // node 4 rejoins
   sched->set_delay(6, 2);   // node 6 straggles throughout
   FaultInjector injector(sched);
-  FleetState fleet(n);
   TopKOrder order(n);
   Rng rng(29);
   ValueVector truth(n);
   for (auto& x : truth) x = 500 + rng.below(500);
   for (TimeStep t = 0; t < 30; ++t) {
     for (auto& x : truth) x += rng.below(40);
-    const ValueVector& eff = injector.transform(t, truth, fleet);
+    const ValueVector& eff = injector.transform(t, truth);
     order.update(eff);
     expect_matches_oracle(order, eff);
-    // The injector also publishes per-node FaultFlag bits into the fleet's
-    // SoA flag buffer — the step's degradation map for consumers that need
-    // to know *which* observations are live.
-    const auto flags = fleet.fault_flags();
-    if (t >= 3 && t < 10) {
-      EXPECT_EQ(flags[1], kFaultOffline | kFaultStale) << "t=" << t;
-    }
+    // The injector also answers which observations were stale this step —
+    // the degradation map for consumers that need to know which are live.
+    const bool node1_offline = t >= 3 && t < 10;
+    EXPECT_EQ(injector.stale_reads(1, 2), node1_offline ? 1u : 0u) << "t=" << t;
     if (t >= 1) {
-      EXPECT_EQ(flags[6], kFaultStale) << "t=" << t;  // straggler
-      EXPECT_EQ(flags[0], kFaultNone) << "t=" << t;   // live node
+      EXPECT_EQ(injector.stale_reads(6, 7), 1u) << "t=" << t;  // straggler
+      EXPECT_EQ(injector.stale_reads(0, 1), 0u) << "t=" << t;  // live node
     }
   }
   EXPECT_GT(injector.total_stale(), 0u);
