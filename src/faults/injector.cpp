@@ -21,25 +21,27 @@ FaultInjector::FaultInjector(FleetSchedulePtr schedule)
     }
   }
   if (!schedule_->events().empty()) {
-    offline_.assign(n, 0);
     offline_ids_.reserve(n);
     frozen_.assign(n, 0);
   }
+}
+
+bool FaultInjector::offline(NodeId i) const {
+  return std::binary_search(offline_ids_.begin(), offline_ids_.end(), i);
 }
 
 void FaultInjector::advance_membership(TimeStep t) {
   const auto& events = schedule_->events();
   while (event_cursor_ < events.size() && events[event_cursor_].step <= t) {
     const FleetEvent& ev = events[event_cursor_++];
-    const std::uint8_t now = ev.join ? 0 : 1;
-    if (offline_[ev.node] == now) continue;
-    offline_[ev.node] = now;
     const auto it =
         std::lower_bound(offline_ids_.begin(), offline_ids_.end(), ev.node);
-    if (now != 0) {
-      offline_ids_.insert(it, ev.node);
-    } else {
+    const bool was_offline = it != offline_ids_.end() && *it == ev.node;
+    if (was_offline == !ev.join) continue;
+    if (ev.join) {
       offline_ids_.erase(it);
+    } else {
+      offline_ids_.insert(it, ev.node);
     }
   }
 }
@@ -67,9 +69,7 @@ const ValueVector& FaultInjector::transform(TimeStep t, const ValueVector& truth
     std::copy(truth.begin(), truth.end(), effective_.begin());
     return effective_;
   }
-  if (!offline_.empty()) {
-    advance_membership(t);
-  }
+  advance_membership(t);
 
   // Healthy bulk first: save the frozen observations the copy would clobber,
   // stream truth → effective in one pass, then fix up the (few) degraded
@@ -85,7 +85,7 @@ const ValueVector& FaultInjector::transform(TimeStep t, const ValueVector& truth
     ++last_stale_;
   }
   for (const NodeId i : stragglers_) {
-    if (!offline_.empty() && offline_[i] != 0) continue;
+    if (offline(i)) continue;
     // The ring covers steps (t − max_delay) .. t; clamp to step 0 early on.
     const std::size_t d = schedule_->delay(i);
     const std::size_t back = std::min<std::size_t>(d, static_cast<std::size_t>(t));
@@ -109,7 +109,7 @@ std::uint64_t FaultInjector::stale_reads(std::size_t lo, std::size_t hi) const {
   std::uint64_t stale = static_cast<std::uint64_t>(off_end - off_begin);
   const auto [str_begin, str_end] = in_range(stragglers_);
   for (auto it = str_begin; it != str_end; ++it) {
-    stale += offline_.empty() || offline_[*it] == 0;
+    stale += !offline(*it);
   }
   return stale;
 }

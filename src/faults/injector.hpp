@@ -68,12 +68,14 @@ class FaultInjector {
   /// incremental offline set.
   void advance_membership(TimeStep t);
 
+  /// Whether node i is offline now: a binary search in offline_ids_.
+  bool offline(NodeId i) const;
+
   FleetSchedulePtr schedule_;
   ValueVector effective_;          ///< transform()'s output, n values
   std::vector<ValueVector> ring_;  ///< max_delay+1 preallocated slots (empty
                                    ///< when the schedule has no stragglers)
   std::vector<NodeId> stragglers_;       ///< nodes with delay > 0, ascending
-  std::vector<std::uint8_t> offline_;    ///< current membership, by node
   std::vector<NodeId> offline_ids_;      ///< currently-offline nodes, ascending
   ValueVector frozen_;                   ///< offline values saved across the bulk copy
   std::size_t event_cursor_ = 0;         ///< next unapplied schedule event

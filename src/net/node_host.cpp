@@ -1,10 +1,13 @@
 #include "net/node_host.hpp"
 
+#include <span>
 #include <vector>
 
 #include "model/filter.hpp"
 #include "model/fleet_pipeline.hpp"
 #include "streams/registry.hpp"
+#include "util/assert.hpp"
+#include "util/simd.hpp"
 
 namespace topkmon::net {
 
@@ -18,10 +21,15 @@ struct NodeHost::State {
   std::uint32_t hi = 0;
 
   FleetPipeline pipeline;  ///< at step expected_t; once reported, at the next
-  std::vector<Filter> filters;  ///< shard entries only, by node − lo
+  // The shard's filters as two bound arrays, by node − lo: the layout
+  // simd::violation_mask streams over.
+  std::vector<double> filter_lo;
+  std::vector<double> filter_hi;
+  std::vector<std::uint8_t> violating;  ///< violation_mask's per-node output
   OutputSet empty_output;  ///< the AdversaryView target (non-adaptive kinds)
   TimeStep expected_t = 0;
   bool reported = false;  ///< ShardValues(expected_t) sent, FilterUpdate due
+  std::vector<std::uint8_t> report;  ///< the ShardValues(expected_t) frame
   ValueVector reported_monitored;  ///< step expected_t's monitored shard slice
 
   State(const ConfigMsg& cfg)
@@ -31,7 +39,9 @@ struct NodeHost::State {
         pipeline(make_stream(cfg.spec.stream), cfg.spec.seed,
                  make_fleet_schedule(cfg.spec.faults, cfg.spec.stream.n),
                  cfg.spec.window),
-        filters(cfg.shard_hi - cfg.shard_lo) {}
+        filter_lo(cfg.shard_hi - cfg.shard_lo, Filter::all().lo),
+        filter_hi(cfg.shard_hi - cfg.shard_lo, Filter::all().hi),
+        violating(cfg.shard_hi - cfg.shard_lo) {}
 
   /// Runs the full-fleet pipeline for step t — the same RNG stream as the
   /// standalone Simulator. The AdversaryView is empty: adaptive kinds are
@@ -39,6 +49,38 @@ struct NodeHost::State {
   void generate(TimeStep t) {
     const AdversaryView view{{}, &empty_output, spec.stream.k, spec.stream.epsilon};
     pipeline.step(t, view, nullptr);
+  }
+
+  /// Shard nodes whose value in `shard` (indexed by node − lo) lies outside
+  /// its filter, in one vector pass: bit-identical to counting
+  /// Filter::check != kNone node by node, NaN and ±∞ bounds included.
+  std::uint64_t count_violations(const Value* shard) {
+    return simd::violation_mask(shard, filter_lo.data(), filter_hi.data(),
+                                violating.size(), violating.data());
+  }
+
+  /// Frames ShardValues(expected_t) ahead of its StepBegin: the pipeline
+  /// already holds the step, and the filters installed at expected_t − 1
+  /// are final once that step was acked. The report carries the effective
+  /// values, which the coordinator windows itself, written straight from
+  /// the pipeline's slice; violations are counted on the monitored
+  /// (windowed) values. Step expected_t's monitored slice is kept for the
+  /// quiescence check, since generating ahead overwrites the pipeline.
+  void prepare_report() {
+    const std::size_t width = hi - lo;
+    const Value* monitored = pipeline.monitored().data() + lo;
+    // The violation pass converts u64 lanes to doubles, exact only up to
+    // kMaxObservableValue; the quiescence pass reuses these same values.
+    TOPKMON_ASSERT_MSG(simd::max_value(monitored, width) <= kMaxObservableValue,
+                       "generator exceeded kMaxObservableValue");
+    ShardValuesView msg;
+    msg.t = expected_t;
+    msg.lo = lo;
+    msg.values = std::span<const Value>(pipeline.effective()).subspan(lo, width);
+    msg.stale = pipeline.stale_reads(lo, hi);
+    msg.violations = count_violations(monitored);
+    report = encode(msg);
+    reported_monitored.assign(monitored, monitored + width);
   }
 };
 
@@ -71,6 +113,7 @@ int NodeHost::run() {
     }
     state_ = std::make_unique<State>(cfg);
     state_->generate(0);
+    state_->prepare_report();
   } catch (const std::exception& e) {
     return fail(std::string("config rejected: ") + e.what());
   }
@@ -105,33 +148,18 @@ int NodeHost::run() {
 
 bool NodeHost::handle_step_begin(TimeStep t) {
   State& s = *state_;
-  if (t != s.expected_t || s.reported) {
+  if (t != s.expected_t || s.reported || t >= s.spec.steps) {
     fail("step out of order: got t=" + std::to_string(t) + ", expected " +
          std::to_string(s.expected_t));
     return false;
   }
-  // The pipeline already holds step t. The shard report carries the
-  // effective values, which the coordinator windows itself; violations are
-  // counted on the monitored (windowed) values against the filters the
-  // coordinator installed at t - 1.
-  const ValueVector& eff = s.pipeline.effective();
-  const ValueVector& monitored = s.pipeline.monitored();
-  ShardValuesMsg msg;
-  msg.t = t;
-  msg.lo = s.lo;
-  msg.values.assign(eff.begin() + s.lo, eff.begin() + s.hi);
-  msg.stale = s.pipeline.stale_reads(s.lo, s.hi);
-  for (std::uint32_t i = s.lo; i < s.hi; ++i) {
-    msg.violations += s.filters[i - s.lo].check(monitored[i]) != Violation::kNone;
-  }
-  if (!link_->send(encode(msg))) {
+  if (!link_->send(s.report)) {
     fail("coordinator unreachable (shard values)");
     return false;
   }
-  // Generate ahead: keep step t's monitored slice for the quiescence check,
-  // then run step t + 1 while the coordinator runs t's control phase. Hosts
-  // are non-adaptive, so nothing the coordinator sends can change t + 1.
-  s.reported_monitored.assign(monitored.begin() + s.lo, monitored.begin() + s.hi);
+  // Generate ahead: run step t + 1 while the coordinator runs t's control
+  // phase. Hosts are non-adaptive, so nothing the coordinator sends can
+  // change t + 1.
   s.reported = true;
   if (t + 1 < s.spec.steps) s.generate(t + 1);
   return true;
@@ -148,16 +176,14 @@ bool NodeHost::handle_filter_update(const FilterUpdateMsg& m) {
       fail("filter for node " + std::to_string(e.node) + " outside shard");
       return false;
     }
-    s.filters[e.node - s.lo] = Filter{e.lo, e.hi};
+    s.filter_lo[e.node - s.lo] = e.lo;
+    s.filter_hi[e.node - s.lo] = e.hi;
   }
   // Quiescence: after the step's control phase every shard node's monitored
   // value must sit inside its filter (the protocols' per-step contract).
   StepAckMsg ack;
   ack.t = m.t;
-  for (std::size_t j = 0; j < s.filters.size(); ++j) {
-    ack.quiescence_errors +=
-        s.filters[j].check(s.reported_monitored[j]) != Violation::kNone;
-  }
+  ack.quiescence_errors = s.count_violations(s.reported_monitored.data());
   quiescence_errors_ += ack.quiescence_errors;
   s.reported = false;
   ++s.expected_t;
@@ -165,6 +191,9 @@ bool NodeHost::handle_filter_update(const FilterUpdateMsg& m) {
     fail("coordinator unreachable (step ack)");
     return false;
   }
+  // Report ahead: frame the next step's report while the coordinator
+  // collects the acks and sends StepBegin.
+  if (s.expected_t < s.spec.steps) s.prepare_report();
   return true;
 }
 

@@ -62,7 +62,7 @@ void WireWriter::str(const std::string& s) {
   buf_.insert(buf_.end(), s.begin(), s.end());
 }
 
-void WireWriter::values(const ValueVector& v) {
+void WireWriter::values(std::span<const Value> v) {
   u32(static_cast<std::uint32_t>(v.size()));
   if constexpr (kNativeWire) {
     const std::size_t at = buf_.size();
@@ -197,6 +197,11 @@ namespace {
 template <class M, class T>
 concept Like = std::same_as<std::remove_const_t<M>, T>;
 
+/// A shard report, owned (written and read) or borrowed (written only).
+template <class M>
+concept ShardValuesLike =
+    Like<M, ShardValuesMsg> || std::same_as<M, const ShardValuesView>;
+
 /// Counts the payload bytes WireWriter writes for the same field calls.
 struct WireSize {
   std::size_t bytes = 0;
@@ -205,7 +210,7 @@ struct WireSize {
   void i64(std::int64_t) { bytes += 8; }
   void f64(double) { bytes += 8; }
   void str(const std::string& s) { bytes += 4 + s.size(); }
-  void values(const ValueVector& v) { bytes += 4 + v.size() * sizeof(Value); }
+  void values(std::span<const Value> v) { bytes += 4 + v.size() * sizeof(Value); }
 };
 
 /// Payload bytes of `m`. WireSize lives in this namespace, so the call below
@@ -317,7 +322,7 @@ void fields(auto& io, Like<StepBeginMsg> auto& m) {
   io.i64(m.t);
 }
 
-void fields(auto& io, Like<ShardValuesMsg> auto& m) {
+void fields(auto& io, ShardValuesLike auto& m) {
   io.i64(m.t);
   io.u32(m.lo);
   io.values(m.values);
@@ -372,6 +377,9 @@ Bytes encode(const StepBeginMsg& m) {
   return encode_frame(MsgType::kStepBegin, m);
 }
 Bytes encode(const ShardValuesMsg& m) {
+  return encode_frame(MsgType::kShardValues, m);
+}
+Bytes encode(const ShardValuesView& m) {
   return encode_frame(MsgType::kShardValues, m);
 }
 Bytes encode(const FilterUpdateMsg& m) {

@@ -79,7 +79,7 @@ class WireWriter {
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v);
   void str(const std::string& s);
-  void values(const ValueVector& v);
+  void values(std::span<const Value> v);
 
   /// Seals the payload written so far into a full frame of type `t` and
   /// hands the buffer over, consuming the writer: `std::move(w).frame(t)`.
@@ -187,8 +187,20 @@ struct ShardValuesMsg {
   ValueVector values;    ///< effective values of nodes [lo, lo+size)
   std::uint64_t stale = 0;       ///< shard observations served from the past
   std::uint64_t violations = 0;  ///< shard nodes violating their filter
+                                 ///< (unread by the coordinator)
 
   friend bool operator==(const ShardValuesMsg&, const ShardValuesMsg&) = default;
+};
+
+/// ShardValuesMsg with its values borrowed from the sender's buffer, so a
+/// node-host frames its pipeline's effective slice without copying it into a
+/// message first. Same field list, same bytes as the owning message.
+struct ShardValuesView {
+  TimeStep t = 0;
+  std::uint32_t lo = 0;
+  std::span<const Value> values;
+  std::uint64_t stale = 0;
+  std::uint64_t violations = 0;
 };
 
 struct FilterEntry {
@@ -232,6 +244,7 @@ std::vector<std::uint8_t> encode(const HelloMsg& m);
 std::vector<std::uint8_t> encode(const ConfigMsg& m);
 std::vector<std::uint8_t> encode(const StepBeginMsg& m);
 std::vector<std::uint8_t> encode(const ShardValuesMsg& m);
+std::vector<std::uint8_t> encode(const ShardValuesView& m);
 std::vector<std::uint8_t> encode(const FilterUpdateMsg& m);
 std::vector<std::uint8_t> encode(const StepAckMsg& m);
 std::vector<std::uint8_t> encode(const ShutdownMsg& m);

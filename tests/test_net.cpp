@@ -12,11 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "faults/registry.hpp"
+#include "model/filter.hpp"
 #include "net/coordinator.hpp"
 #include "net/link.hpp"
 #include "net/node_host.hpp"
@@ -26,6 +28,7 @@
 #include "sim/simulator.hpp"
 #include "streams/registry.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/rng.hpp"
 
 namespace topkmon::net {
 namespace {
@@ -421,6 +424,148 @@ TEST(NetRuntime, WireTrafficIsPinned) {
     EXPECT_EQ(rep.run.net.bytes_sent, pin.bytes_sent);
     EXPECT_EQ(rep.run.net.bytes_recv, pin.bytes_recv);
   }
+}
+
+/// Shard nodes whose value lies outside their filter, by Filter::check.
+std::uint64_t checked_violations(const std::vector<Filter>& filters,
+                                 const ValueVector& values) {
+  std::uint64_t count = 0;
+  for (std::size_t j = 0; j < filters.size(); ++j) {
+    count += filters[j].check(values[j]) != Violation::kNone;
+  }
+  return count;
+}
+
+/// A filter around x drawn from the cases the host's vector pass must read as
+/// Filter::check does: violated from above and from below, NaN and ±∞
+/// bounds, an inverted interval, and exact-boundary containment.
+Filter tricky_filter(double x, Rng& rng) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const Filter cases[] = {
+      {x + 1, x + 5},    // value below lo
+      {x - 5, x - 1},    // value above hi
+      {kNaN, x - 1},     // NaN lo, violated hi
+      {x + 1, kNaN},     // violated lo, NaN hi
+      {kNaN, kNaN},      // NaN bounds compare false: no violation
+      {-kInf, kInf},     // everything fits
+      {kInf, kInf},      // nothing fits
+      {-kInf, -kInf},    // nothing fits
+      {x + 1, x - 1},    // lo > hi
+      Filter::point(x),  // both bounds exact
+      {x, kInf},
+      {-kInf, x - 1},
+  };
+  return cases[rng.uniform_u64(0, std::size(cases) - 1)];
+}
+
+/// One NodeHost on its own thread; the test drives it through `coord` as its
+/// coordinator. The destructor closes the link, so a failed ASSERT that
+/// returns early still ends run(), and joins the thread.
+struct HostUnderTest {
+  TransportPair pair = make_loopback_pair();
+  Link coord{std::move(pair.a)};
+  NodeHost host{std::make_unique<Link>(std::move(pair.b)), 0, 1};
+  int rc = -1;
+  std::thread thread{[this] { rc = host.run(); }};
+
+  HostUnderTest() = default;
+  HostUnderTest(const HostUnderTest&) = delete;
+  HostUnderTest& operator=(const HostUnderTest&) = delete;
+  ~HostUnderTest() {
+    if (thread.joinable()) {
+      coord.close();
+      thread.join();
+    }
+  }
+
+  /// Waits for run() to return and gives its status.
+  int finish() {
+    thread.join();
+    return rc;
+  }
+};
+
+TEST(NodeHost, ViolationAndQuiescenceCountsMatchFilterCheck) {
+  // The test plays the coordinator against one NodeHost over a loopback
+  // pair: a shard that does not start at node 0, widths 1 to 9 (every
+  // vector-tail length), and filter updates that violate in every way
+  // Filter::check knows. Both counts the host reports must equal the
+  // per-node check over a mirror of its filters.
+  RunSpec spec = base_spec();
+  spec.steps = 30;
+  Rng rng(0xF117E2);
+  for (std::uint32_t width = 1; width <= 9; ++width) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    const std::uint32_t lo = 3;
+    HostUnderTest h;
+    Link& coord = h.coord;
+    std::vector<std::uint8_t> buf;
+    ASSERT_TRUE(coord.recv(buf));
+    EXPECT_EQ(decode_hello(parse_frame(buf)), (HelloMsg{0, 1}));
+    ASSERT_TRUE(coord.send(encode(ConfigMsg{spec, lo, lo + width})));
+
+    std::vector<Filter> filters(width);
+    std::uint64_t quiescence_total = 0;
+    bool saw_violation = false;
+    bool saw_quiescence_error = false;
+    for (TimeStep t = 0; t < spec.steps; ++t) {
+      ASSERT_TRUE(coord.send(encode(StepBeginMsg{t})));
+      ASSERT_TRUE(coord.recv(buf));
+      const ShardValuesMsg report = decode_shard_values(parse_frame(buf));
+      ASSERT_EQ(report.t, t);
+      ASSERT_EQ(report.lo, lo);
+      ASSERT_EQ(report.values.size(), width);
+      // No window: the monitored values are the reported effective ones.
+      EXPECT_EQ(report.violations, checked_violations(filters, report.values));
+      saw_violation |= report.violations != 0;
+
+      FilterUpdateMsg update{t, {}};
+      for (std::uint32_t j = 0; j < width; ++j) {
+        if (rng.uniform_u64(0, 3) == 0) continue;  // keep last step's filter
+        filters[j] = tricky_filter(static_cast<double>(report.values[j]), rng);
+        update.filters.push_back({lo + j, filters[j].lo, filters[j].hi});
+      }
+      ASSERT_TRUE(coord.send(encode(update)));
+      ASSERT_TRUE(coord.recv(buf));
+      const StepAckMsg ack = decode_step_ack(parse_frame(buf));
+      ASSERT_EQ(ack.t, t);
+      EXPECT_EQ(ack.quiescence_errors, checked_violations(filters, report.values));
+      quiescence_total += ack.quiescence_errors;
+      saw_quiescence_error |= ack.quiescence_errors != 0;
+    }
+    ASSERT_TRUE(coord.send(encode(ShutdownMsg{})));
+    EXPECT_EQ(h.finish(), 0) << h.host.error();
+    EXPECT_EQ(h.host.quiescence_errors(), quiescence_total);
+    EXPECT_TRUE(saw_violation);
+    EXPECT_TRUE(saw_quiescence_error);
+  }
+}
+
+TEST(NodeHost, RejectsStepBeginPastTheRun) {
+  // After the last step there is no report to send: a StepBegin for step
+  // `steps` is a protocol error, not a resend of the last frame.
+  RunSpec spec = base_spec();
+  spec.steps = 2;
+  HostUnderTest h;
+  std::vector<std::uint8_t> buf;
+  ASSERT_TRUE(h.coord.recv(buf));
+  const auto n = static_cast<std::uint32_t>(spec.stream.n);
+  ASSERT_TRUE(h.coord.send(encode(ConfigMsg{spec, 0, n})));
+  for (TimeStep t = 0; t < spec.steps; ++t) {
+    ASSERT_TRUE(h.coord.send(encode(StepBeginMsg{t})));
+    ASSERT_TRUE(h.coord.recv(buf));
+    EXPECT_EQ(decode_shard_values(parse_frame(buf)).t, t);
+    ASSERT_TRUE(h.coord.send(encode(FilterUpdateMsg{t, {}})));
+    ASSERT_TRUE(h.coord.recv(buf));
+    EXPECT_EQ(decode_step_ack(parse_frame(buf)).t, t);
+  }
+  ASSERT_TRUE(h.coord.send(encode(StepBeginMsg{spec.steps})));
+  // The host fails and closes its end instead of answering with a frame.
+  EXPECT_FALSE(h.coord.recv(buf));
+  h.coord.close();
+  EXPECT_EQ(h.finish(), 1);
+  EXPECT_NE(h.host.error().find("out of order"), std::string::npos) << h.host.error();
 }
 
 TEST(NetRuntime, LoopbackTransportDeliversInOrderAndClosesCleanly) {

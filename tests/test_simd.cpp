@@ -88,12 +88,17 @@ TEST(Simd, ViolationMaskMatchesFilterCheck) {
       std::vector<double> lo(n), hi(n);
       std::vector<Filter> filters(n);
       for (std::size_t i = 0; i < n; ++i) {
-        // Mix open, closed, point and boundary-exact filters.
+        // Mix open, closed, point and boundary-exact filters, NaN bounds
+        // (every compare with NaN is false) and inverted intervals.
         const double bound = static_cast<double>(rng.below(1001));
-        switch (rng.below(4)) {
+        const double nan = std::numeric_limits<double>::quiet_NaN();
+        switch (rng.below(7)) {
           case 0: filters[i] = Filter::all(); break;
           case 1: filters[i] = Filter::at_least(bound); break;
           case 2: filters[i] = Filter::at_most(bound); break;
+          case 3: filters[i] = Filter{nan, bound}; break;
+          case 4: filters[i] = Filter{bound, nan}; break;
+          case 5: filters[i] = Filter{bound + 1, bound}; break;
           default: filters[i] = Filter::point(static_cast<double>(v[i])); break;
         }
         if (rng.below(8) == 0) filters[i] = Filter{0.0, inf};

@@ -153,6 +153,35 @@ TEST(Wire, ShardValuesGoldenBytes) {
   EXPECT_EQ(decode_shard_values(parse_frame(golden)), m);
 }
 
+TEST(Wire, ShardValuesViewFramesTheSameBytes) {
+  // A node-host frames its report straight from a slice of the fleet vector;
+  // the bytes must be exactly those of the owning message's encoding.
+  Rng rng(0x5A1CE);
+  for (int trial = 0; trial < 200; ++trial) {
+    ValueVector fleet(rng.uniform_u64(0, 40));
+    for (Value& v : fleet) v = rng.next_u64() >> rng.uniform_u64(0, 63);
+    const std::size_t lo = rng.uniform_u64(0, fleet.size());
+    const std::size_t hi = rng.uniform_u64(lo, fleet.size());
+    ShardValuesView view;
+    view.t = static_cast<TimeStep>(rng.uniform_u64(0, 1u << 30));
+    view.lo = static_cast<std::uint32_t>(lo);
+    view.values = std::span<const Value>(fleet).subspan(lo, hi - lo);
+    view.stale = rng.next_u64();
+    view.violations = rng.uniform_u64(0, hi - lo);
+    ShardValuesMsg m;
+    m.t = view.t;
+    m.lo = view.lo;
+    m.values.assign(fleet.begin() + lo, fleet.begin() + hi);
+    m.stale = view.stale;
+    m.violations = view.violations;
+    ASSERT_EQ(encode(view), encode(m)) << "trial " << trial;
+  }
+  const ShardValuesMsg golden = golden_shard_values();
+  const ShardValuesView golden_view{golden.t, golden.lo, golden.values, golden.stale,
+                                    golden.violations};
+  EXPECT_EQ(encode(golden_view), encode(golden));
+}
+
 TEST(Wire, FilterUpdateRoundTrips) {
   FilterUpdateMsg m;
   m.t = 3;
